@@ -88,9 +88,10 @@ def test_serving_throughput(benchmark, served_model):
 
     # The compiled plan rides on top of micro-batching: strictly less work
     # per pass than the tape, so switching the runner must not cost QPS.
-    # (Under this load the batcher's wait window, not the forward pass,
-    # bounds latency — the forward-pass margin itself is benchmarked in
-    # test_inference_compiled.py.)
+    # (Under this load query translation and the per-request Python work
+    # around each pass, not the forward pass, take most of the time, so
+    # the compiled runner's margin here is small — the forward-pass margin
+    # itself is benchmarked in test_inference_compiled.py.)
     assert compiled.forward_passes < NUM_REQUESTS / 2
     assert compiled.qps > 0.85 * batched.qps
 

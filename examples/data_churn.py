@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from repro.core import DuetConfig, DuetModel, DuetTrainer, LifecyclePolicy, ServingConfig
+from repro.core import DuetConfig, DuetModel, DuetTrainer, LifecyclePolicy
 from repro.data import ColumnStore, make_census
 from repro.eval import format_table, qerror, summarize_qerrors
 from repro.lifecycle import RefreshScheduler
@@ -63,8 +63,7 @@ def main() -> None:
                              cold_train_epochs=6, tune_yield_seconds=0.0,
                              compact_tombstone_fraction=0.52)
     with EstimationService.from_registry(
-            registry, "census", store=store,
-            config=ServingConfig(max_wait_ms=0.5)) as service:
+            registry, "census", store=store) as service:
         scheduler = RefreshScheduler(service, policy)
 
         # --- Wave 1: a skewed delete the refresh path absorbs -----------

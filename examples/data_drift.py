@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from repro.core import DuetConfig, DuetModel, DuetTrainer, ServingConfig
+from repro.core import DuetConfig, DuetModel, DuetTrainer
 from repro.data import ColumnStore, make_census
 from repro.eval import format_table, qerror, summarize_qerrors
 from repro.serving import EstimationService, ModelRegistry
@@ -56,8 +56,7 @@ def main() -> None:
     registry.save(model, dataset="census")
 
     with EstimationService.from_registry(
-            registry, "census", store=store,
-            config=ServingConfig(max_wait_ms=0.5)) as service:
+            registry, "census", store=store) as service:
         # The data drifts: a skewed append concentrated in the upper tails.
         new_snapshot = skewed_append(store, fraction=1.5, seed=7)
         print(f"appended {new_snapshot.num_rows - base.num_rows} skewed rows "

@@ -42,7 +42,6 @@ from repro.core import (
     DuetModel,
     DuetTrainer,
     LifecyclePolicy,
-    ServingConfig,
 )
 from repro.data import ColumnStore, make_census
 from repro.eval import format_table, qerror, run_soak, summarize_qerrors
@@ -119,8 +118,7 @@ def main(chaos: bool = False,
     faults = chaos_plan() if chaos else None
 
     with EstimationService.from_registry(
-            registry, "census", store=store,
-            config=ServingConfig(max_wait_ms=0.5)) as service:
+            registry, "census", store=store) as service:
         workload = make_random_workload(base, num_queries=300, seed=1234,
                                         label=False)
         with RefreshScheduler(service, policy) as scheduler:

@@ -142,14 +142,11 @@ class ServingConfig:
         the naive mode the throughput benchmark compares against.
     max_batch_size:
         Upper bound on how many queued requests one forward pass may serve.
-        Larger batches amortise the per-pass overhead but increase the
-        latency of the first request in the batch.
-    max_wait_ms:
-        How long (milliseconds) the batcher waits for more requests after
-        the first one arrives before closing the batch.  ``0`` degenerates
-        to "drain whatever is already queued"; a couple of milliseconds is
-        enough for batches to form under concurrent load while keeping the
-        idle-service latency near the raw forward-pass cost.
+        The batcher never waits for a batch to fill: a pass takes whatever
+        is queued when it starts, so requests arriving during a pass form
+        the next batch and an idle service answers a lone miss after one
+        pass.  Larger caps amortise the per-pass overhead under heavy load
+        but lengthen the pass the first request of a batch waits on.
     cache_capacity:
         Number of entries of the estimate LRU cache.  Keys are canonical
         (predicate-order and operator-alias insensitive), so permuted
@@ -189,7 +186,6 @@ class ServingConfig:
 
     micro_batching: bool = True
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
     cache_capacity: int = 8192
     latency_window: int = 65536
     compiled: bool = True
@@ -201,8 +197,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative")
         if self.latency_window <= 0:

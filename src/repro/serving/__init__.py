@@ -25,7 +25,7 @@ Quickstart::
 """
 
 from ..core.config import ServingConfig
-from .batcher import BatcherStats, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import EstimateCache, QueryKeyEncoder
 from .registry import (
     ModelRegistry,
@@ -49,7 +49,6 @@ __all__ = [
     "EstimateCache",
     "QueryKeyEncoder",
     "MicroBatcher",
-    "BatcherStats",
     "EstimationService",
     "ServiceStats",
     "StatsSnapshot",

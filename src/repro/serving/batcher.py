@@ -2,44 +2,30 @@
 
 Duet's estimator is vectorised — one forward pass over a batch of queries
 costs barely more than over a single query — but online clients submit one
-query at a time.  The :class:`MicroBatcher` bridges the two: requests are
-queued, a single scheduler thread drains the queue into batches (up to
-``max_batch_size`` queries, waiting at most ``max_wait`` seconds after the
-first request of a batch), runs one batched forward pass, and resolves each
-request's future.  Under load, batches form naturally while a pass is in
-flight; when idle, a request waits at most ``max_wait`` before running solo.
+query at a time.  The :class:`MicroBatcher` bridges the two with in-flight
+coalescing: a single scheduler thread blocks for the first queued request,
+drains whatever else is already queued (up to ``max_batch_size`` queries)
+without waiting for more, runs one batched forward pass, and resolves each
+request's future.  Requests that arrive while a pass is in flight form the
+next batch, so batches grow with load; an idle service answers a lone
+request after one pass.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..workload.query import Query
 
-__all__ = ["MicroBatcher", "BatcherStats"]
+__all__ = ["MicroBatcher"]
 
 #: sentinel enqueued by :meth:`MicroBatcher.close` to wake the scheduler
 _SHUTDOWN = object()
-
-
-@dataclass(frozen=True)
-class BatcherStats:
-    """Occupancy counters of a batcher (snapshot)."""
-
-    num_batches: int
-    num_requests: int
-    max_batch_size: int
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.num_requests / self.num_batches if self.num_batches else 0.0
 
 
 class _Request:
@@ -60,25 +46,23 @@ class MicroBatcher:
     runner's per-stage timing breakdown) is handed to each request's
     ``on_batch`` callback.  Exceptions raised by the runner propagate to
     every future of the affected batch.
+
+    A batch never waits for company: it holds the first queued request plus
+    whatever else was already queued, at most ``max_batch_size`` queries.
+    Pass counts and occupancy are recorded by the runner's owner
+    (:class:`~repro.serving.ServiceStats`), not here.
     """
 
     def __init__(self, runner: Callable[[Sequence[Query]], np.ndarray],
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
+                 max_batch_size: int = 64) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self._runner = runner
         self.max_batch_size = max_batch_size
-        self.max_wait = max_wait_ms / 1e3
         self._queue: "queue.Queue" = queue.Queue()
-        self._lock = threading.Lock()
         # Serialises submit() against close() so no request can be enqueued
         # after the shutdown sentinel (it would never be resolved).
         self._lifecycle = threading.Lock()
-        self._num_batches = 0
-        self._num_requests = 0
-        self._largest_batch = 0
         self._closed = False
         self._thread = threading.Thread(target=self._loop,
                                         name="repro-microbatcher", daemon=True)
@@ -106,12 +90,6 @@ class MicroBatcher:
         """Convenience blocking wrapper around :meth:`submit`."""
         return self.submit(query).result()
 
-    def stats(self) -> BatcherStats:
-        with self._lock:
-            return BatcherStats(num_batches=self._num_batches,
-                                num_requests=self._num_requests,
-                                max_batch_size=self._largest_batch)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the scheduler after draining already-queued requests."""
@@ -135,16 +113,12 @@ class MicroBatcher:
             if first is _SHUTDOWN:
                 return
             batch = [first]
-            deadline = time.perf_counter() + self.max_wait
             shutdown = False
+            # Take only what is already queued: arrivals during the pass
+            # below form the next batch.
             while len(batch) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
                 try:
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        # Past the deadline: take only what is already queued.
-                        item = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SHUTDOWN:
@@ -170,10 +144,6 @@ class MicroBatcher:
             for request in batch:
                 request.future.set_exception(error)
             return
-        with self._lock:
-            self._num_batches += 1
-            self._num_requests += len(batch)
-            self._largest_batch = max(self._largest_batch, len(batch))
         for request, estimate in zip(batch, estimates):
             if request.on_batch is not None:
                 try:

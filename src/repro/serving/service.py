@@ -40,7 +40,7 @@ from ..data.store import ColumnStore
 from ..nn import PlanOptions
 from ..obs import MetricsRegistry, Trace, Tracer
 from ..workload.query import Query
-from .batcher import BatcherStats, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import EstimateCache, QueryKeyEncoder
 from .registry import ModelRegistry, RegistryEntry
 from .stats import ServiceStats, StatsSnapshot
@@ -100,8 +100,7 @@ class EstimationService:
         self._batcher: MicroBatcher | None = None
         if self.config.micro_batching:
             self._batcher = MicroBatcher(self._run_batch,
-                                         max_batch_size=self.config.max_batch_size,
-                                         max_wait_ms=self.config.max_wait_ms)
+                                         max_batch_size=self.config.max_batch_size)
 
     def _namespace(self) -> tuple:
         """Cache-key scope: estimates are only valid for this identity."""
@@ -300,9 +299,19 @@ class EstimationService:
         """One forward pass; returns ``(estimates, breakdown)``.
 
         The breakdown rides through the micro-batcher's ``extra`` channel to
-        traced requests (see :meth:`MicroBatcher.submit`).
+        traced requests (see :meth:`MicroBatcher.submit`).  A pass that
+        raises, or returns other than one estimate per query, is counted
+        under ``repro_request_errors_total{stage="batch"}`` and re-raised.
         """
-        estimates, breakdown = self._timed_runner(queries)
+        try:
+            estimates, breakdown = self._timed_runner(queries)
+            estimates = np.asarray(estimates, dtype=np.float64)
+            if estimates.shape != (len(queries),):
+                raise ValueError(f"runner returned shape {estimates.shape} "
+                                 f"for a batch of {len(queries)}")
+        except Exception:
+            self.stats.record_error("batch")
+            raise
         self.stats.record_batch(len(queries))
         return estimates, breakdown
 
@@ -454,9 +463,6 @@ class EstimationService:
     # ------------------------------------------------------------------
     def snapshot(self) -> StatsSnapshot:
         return self.stats.snapshot()
-
-    def batcher_stats(self) -> BatcherStats | None:
-        return self._batcher.stats() if self._batcher is not None else None
 
     @property
     def table(self):

@@ -1,8 +1,9 @@
 """Thread-safe service statistics: QPS, latency percentiles, cache and batch
-occupancy counters.
+occupancy counters, failed passes.
 
 Every ``estimate()`` call records one latency sample plus whether it was a
-cache hit; the batch runner records the size of every forward pass.  The
+cache hit; the batch runner records the size of every forward pass and
+counts every pass that raised.  The
 counters live in a :class:`~repro.obs.MetricsRegistry` (the service's one
 observable surface — text exposition, JSON snapshots, the file exporter all
 read the same cells), while exact percentiles come from a fixed-size NumPy
@@ -124,6 +125,12 @@ class ServiceStats:
         self._batch_size = self.metrics.histogram(
             "repro_batch_size", "Micro-batch occupancy per forward pass.",
             buckets=BATCH_SIZE_BUCKETS).labels()
+        self._errors = self.metrics.counter(
+            "repro_request_errors_total",
+            "Failed request-path work, by stage (batch: a forward pass "
+            "that raised; every request it served got the error).",
+            labels=("stage",))
+        self._errors.labels(stage="batch")  # exported as 0 until a pass fails
         self._swaps = self.metrics.counter(
             "repro_model_swaps_total",
             "Hot-swaps of the served model (refreshes + cold trains).").labels()
@@ -148,6 +155,10 @@ class ServiceStats:
         self._batched.inc(batch_size)
         self._batch_size.observe(batch_size)
 
+    def record_error(self, stage: str) -> None:
+        """Count one failure of request-path work at ``stage``."""
+        self._errors.labels(stage=stage).inc()
+
     def record_swap(self) -> None:
         """Count one hot-swap of the served model."""
         self._swaps.inc()
@@ -160,7 +171,8 @@ class ServiceStats:
         """
         for name in ("repro_requests_total", "repro_request_latency_seconds",
                      "repro_batches_total", "repro_batched_requests_total",
-                     "repro_batch_size", "repro_model_swaps_total"):
+                     "repro_batch_size", "repro_request_errors_total",
+                     "repro_model_swaps_total"):
             self.metrics.get(name)._reset()
         with self._lock:
             self._ring.clear()

@@ -15,7 +15,6 @@ from repro.core import (
     DuetEstimator,
     DuetModel,
     DuetTrainer,
-    ServingConfig,
 )
 from repro.data import ColumnStore, Table
 from repro.serving import EstimationService, ModelRegistry
@@ -66,8 +65,7 @@ class TestEndToEndLifecycle:
         base_counts = true_cardinalities(base, workload.queries)
 
         service = EstimationService.from_registry(
-            registry, "lifecycle", store=store,
-            config=ServingConfig(max_wait_ms=0.5))
+            registry, "lifecycle", store=store)
         with service:
             probe = workload.queries[0]
             stale_estimate = service.estimate(probe)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DuetConfig, DuetModel, DuetTrainer, ServingConfig
+from repro.core import DuetConfig, DuetModel, DuetTrainer
 from repro.data import ColumnStore, Table
 from repro.serving import EstimationService, ModelRegistry
 from repro.workload import make_random_workload
@@ -38,8 +38,7 @@ def serving_stack(tmp_path):
     registry = ModelRegistry(tmp_path / "registry")
     registry.save(model, dataset="concurrent")
     service = EstimationService.from_registry(
-        registry, "concurrent", store=store,
-        config=ServingConfig(max_wait_ms=0.2))
+        registry, "concurrent", store=store)
     workload = make_random_workload(base, num_queries=50, seed=7, label=False)
     yield service, store, workload
     service.close()

@@ -23,7 +23,6 @@ from repro.core import (
     DuetModel,
     DuetTrainer,
     LifecyclePolicy,
-    ServingConfig,
 )
 from repro.data import ColumnStore, Table
 from repro.eval import qerror
@@ -61,15 +60,14 @@ def store() -> ColumnStore:
     return ColumnStore.from_table(table)
 
 
-def _make_service(store, tmp_path, config=CONFIG, serving=None):
+def _make_service(store, tmp_path, config=CONFIG):
     base = store.snapshot()
     model = DuetModel(base, config)
     DuetTrainer(model, base, config=config).train(1)
     registry = ModelRegistry(tmp_path / "registry")
     registry.save(model, dataset="lifecycle")
     return EstimationService.from_registry(
-        registry, "lifecycle", store=store,
-        config=serving or ServingConfig(max_wait_ms=0.2))
+        registry, "lifecycle", store=store)
 
 
 def _append_in_domain(store: ColumnStore, count: int, seed: int):

@@ -17,7 +17,6 @@ from repro.core import (
     DuetModel,
     DuetTrainer,
     LifecyclePolicy,
-    ServingConfig,
 )
 from repro.data import ColumnStore, Table
 from repro.lifecycle import (
@@ -67,8 +66,7 @@ def _make_service(store, tmp_path, config=CONFIG):
     registry = ModelRegistry(tmp_path / "registry")
     registry.save(model, dataset="lifecycle")
     return EstimationService.from_registry(
-        registry, "lifecycle", store=store,
-        config=ServingConfig(max_wait_ms=0.2))
+        registry, "lifecycle", store=store)
 
 
 def _append_in_domain(store: ColumnStore, count: int, seed: int):

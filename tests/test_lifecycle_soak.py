@@ -15,7 +15,6 @@ from repro.core import (
     DuetModel,
     DuetTrainer,
     LifecyclePolicy,
-    ServingConfig,
 )
 from repro.data import ColumnStore, Table
 from repro.eval import run_soak
@@ -71,8 +70,7 @@ def test_soak_with_running_scheduler(tmp_path):
                              refresh_epochs=1, cold_train_epochs=1,
                              keep_model_versions=2)
     with EstimationService.from_registry(
-            registry, "soak", store=store,
-            config=ServingConfig(max_wait_ms=0.2)) as service:
+            registry, "soak", store=store) as service:
         workload = make_random_workload(base, num_queries=150, seed=11,
                                         label=False)
         with RefreshScheduler(service, policy) as scheduler:
@@ -127,8 +125,7 @@ def test_churn_soak_with_timed_deletes(tmp_path):
                              keep_model_versions=2,
                              compact_tombstone_fraction=0.35)
     with EstimationService.from_registry(
-            registry, "churn", store=store,
-            config=ServingConfig(max_wait_ms=0.2)) as service:
+            registry, "churn", store=store) as service:
         workload = make_random_workload(base, num_queries=150, seed=5,
                                         label=False)
         with RefreshScheduler(service, policy) as scheduler:
@@ -194,8 +191,7 @@ def test_chaos_soak_with_fault_injection(tmp_path):
                   times=3, after=50),
     ], seed=3)
     with EstimationService.from_registry(
-            registry, "chaos", store=store,
-            config=ServingConfig(max_wait_ms=0.2)) as service:
+            registry, "chaos", store=store) as service:
         workload = make_random_workload(base, num_queries=150, seed=7,
                                         label=False)
         with RefreshScheduler(service, policy) as scheduler:

@@ -6,15 +6,23 @@ registry save -> load -> identical-estimates round trip, plus service-level
 end-to-end behaviour and stats.
 """
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import DuetConfig, DuetEstimator, DuetModel, ServingConfig
+from repro.core import (
+    CardinalityEstimator,
+    DuetConfig,
+    DuetEstimator,
+    DuetModel,
+    ServingConfig,
+)
 from repro.data import Table
 from repro.eval import evaluate_service, run_load_test
+from repro.obs import parse_exposition
 from repro.serving import (
     EstimateCache,
     EstimationService,
@@ -107,47 +115,159 @@ class TestEstimateCache:
 # ----------------------------------------------------------------------
 # Micro-batching
 # ----------------------------------------------------------------------
+#: liveness bound of every blocking wait below: a wait that runs out means a
+#: hung scheduler, never a slow one (no assertion depends on timing)
+LIVENESS_SECONDS = 10.0
+
+
+def _age_query(value: int) -> Query:
+    return Query.from_triples([("age", "=", value)])
+
+
+class _GatedRunner:
+    """Batch runner whose passes block on a gate; records every batch.
+
+    Each pass answers a query with its own ``age`` value, so every future
+    can be checked against the request that created it.
+    """
+
+    def __init__(self) -> None:
+        self.batches: list[list[float]] = []
+        self.gate = threading.Event()
+        self._entered = threading.Semaphore(0)
+
+    def __call__(self, queries):
+        values = [float(query.predicates[0].value) for query in queries]
+        self.batches.append(values)
+        self._entered.release()
+        assert self.gate.wait(LIVENESS_SECONDS), "gate never opened"
+        return values
+
+    def wait_for_pass(self) -> None:
+        assert self._entered.acquire(timeout=LIVENESS_SECONDS), "no pass started"
+
+
 class TestMicroBatcher:
-    def test_coalesces_concurrent_requests(self, table):
-        observed_batches = []
+    def test_lone_request_runs_at_once_as_a_batch_of_one(self):
+        runner = _GatedRunner()
+        with MicroBatcher(runner, max_batch_size=16) as batcher:
+            future = batcher.submit(_age_query(7))
+            # The pass starts with nothing else pending: no batch window is
+            # waited out for company that never comes.
+            runner.wait_for_pass()
+            assert runner.batches == [[7.0]]
+            runner.gate.set()
+            assert future.result(timeout=LIVENESS_SECONDS) == 7.0
+        assert runner.batches == [[7.0]]
 
-        def runner(queries):
-            observed_batches.append(len(queries))
-            time.sleep(0.005)  # keep a pass in flight so the queue fills
-            return [float(query.predicates[0].value) for query in queries]
+    @staticmethod
+    def _coalesce(pending: int, cap: int):
+        """Queue ``pending`` requests behind a blocked pass, then release it.
 
-        queries = [Query.from_triples([("age", "=", value)]) for value in range(40)]
-        with MicroBatcher(runner, max_batch_size=16, max_wait_ms=5.0) as batcher:
-            barrier = threading.Barrier(8)
-            results = {}
+        Returns every future's answer keyed by its query value, and the
+        batches the runner saw.
+        """
+        runner = _GatedRunner()
+        with MicroBatcher(runner, max_batch_size=cap) as batcher:
+            first = batcher.submit(_age_query(0))
+            runner.wait_for_pass()
+            # Submit from several threads while the first pass is blocked:
+            # every request is queued before that pass returns.
+            futures = {0: first}
 
             def client(worker):
-                barrier.wait()
-                for query in queries[worker::8]:
-                    results[query.predicates[0].value] = batcher.estimate(query)
+                for value in range(1 + worker, pending + 1, 4):
+                    futures[value] = batcher.submit(_age_query(value))
 
             threads = [threading.Thread(target=client, args=(worker,))
-                       for worker in range(8)]
+                       for worker in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            stats = batcher.stats()
+                thread.join(LIVENESS_SECONDS)
+                assert not thread.is_alive()
+            runner.gate.set()
+            results = {value: future.result(timeout=LIVENESS_SECONDS)
+                       for value, future in futures.items()}
+        return results, runner.batches
 
-        # Every request got its own answer back, in spite of coalescing.
-        assert results == {value: float(value) for value in range(40)}
-        assert stats.num_requests == 40
-        assert stats.num_batches == len(observed_batches)
-        assert stats.max_batch_size > 1          # coalescing actually happened
-        assert stats.num_batches < 40            # fewer passes than requests
-        assert max(observed_batches) <= 16       # cap respected
+    def test_coalesces_concurrent_requests(self):
+        cap = 4
+        for pending in (3, cap, 10):
+            results, batches = self._coalesce(pending, cap)
+            # Every request got its own answer back, in spite of coalescing.
+            assert results == {value: float(value) for value in range(pending + 1)}
+            # The requests queued during the first pass came back as passes
+            # of min(pending, cap), then the rest: coalescing happened and
+            # the cap was respected.
+            full, rest = divmod(pending, cap)
+            assert [len(batch) for batch in batches] \
+                == [1] + [cap] * full + ([rest] if rest else [])
+            assert sorted(value for batch in batches[1:] for value in batch) \
+                == [float(value) for value in range(1, pending + 1)]
+
+    def test_many_clients_each_get_their_own_answer(self):
+        # More client threads than cores and a tiny switch interval, so
+        # submits interleave with the scheduler's drain at every bytecode.
+        cap, clients, per_client = 8, 8, 40
+        batches = []
+
+        def runner(queries):
+            batches.append(len(queries))
+            return [float(query.predicates[0].value) for query in queries]
+
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatcher(runner, max_batch_size=cap) as batcher:
+                def client(worker):
+                    for value in range(worker, clients * per_client, clients):
+                        results[value] = batcher.estimate(_age_query(value))
+
+                threads = [threading.Thread(target=client, args=(worker,))
+                           for worker in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(LIVENESS_SECONDS)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = clients * per_client
+        assert results == {value: float(value) for value in range(total)}
+        assert sum(batches) == total and max(batches) <= cap
+
+    def test_close_resolves_queued_requests(self):
+        runner = _GatedRunner()
+        batcher = MicroBatcher(runner, max_batch_size=2)
+        futures = [batcher.submit(_age_query(0))]
+        runner.wait_for_pass()
+        futures += [batcher.submit(_age_query(value)) for value in range(1, 6)]
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        # Keep submitting until close() refuses: the refusal proves its
+        # shutdown sentinel is queued behind every request accepted so far.
+        deadline = time.monotonic() + LIVENESS_SECONDS
+        while True:
+            try:
+                futures.append(batcher.submit(_age_query(len(futures))))
+            except RuntimeError:
+                break
+            assert time.monotonic() < deadline, "close() never took effect"
+            time.sleep(0.001)
+        runner.gate.set()
+        closer.join(LIVENESS_SECONDS)
+        assert not closer.is_alive()
+        assert [future.result(timeout=0) for future in futures] \
+            == [float(value) for value in range(len(futures))]
 
     def test_runner_errors_propagate_to_futures(self):
         def runner(queries):
             raise RuntimeError("model exploded")
 
-        with MicroBatcher(runner, max_batch_size=4, max_wait_ms=0.0) as batcher:
-            future = batcher.submit(Query.from_triples([("age", "=", 1)]))
+        with MicroBatcher(runner, max_batch_size=4) as batcher:
+            future = batcher.submit(_age_query(1))
             with pytest.raises(RuntimeError, match="model exploded"):
                 future.result(timeout=5)
 
@@ -231,7 +351,7 @@ class TestEstimationService:
     def test_concurrent_estimates_match_the_estimator(self, table, estimator):
         workload = make_random_workload(table, num_queries=64, seed=11)
         expected = estimator.estimate_batch(workload.queries)
-        with EstimationService(estimator, ServingConfig(max_wait_ms=1.0)) as service:
+        with EstimationService(estimator, ServingConfig()) as service:
             results = np.empty(len(workload))
 
             def client(indices):
@@ -280,9 +400,46 @@ class TestEstimationService:
             assert service.snapshot().num_batches == passes  # all cached
         assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("micro_batching", [True, False])
+    def test_failed_passes_are_counted(self, table, micro_batching):
+        failure = RuntimeError("model exploded")
+
+        class ExplodingEstimator(CardinalityEstimator):
+            def estimate(self, query):
+                raise failure
+
+        def batch_errors(service):
+            parsed = parse_exposition(service.metrics.exposition())
+            return parsed[("repro_request_errors_total", (("stage", "batch"),))]
+
+        config = ServingConfig(micro_batching=micro_batching)
+        with EstimationService(ExplodingEstimator(table), config) as service:
+            assert batch_errors(service) == 0.0
+            for value in range(3):
+                with pytest.raises(RuntimeError) as raised:
+                    service.estimate(_age_query(value))
+                # Each caller sees the runner's own error, not a wrapper.
+                assert raised.value is failure
+            assert batch_errors(service) == 3.0
+            assert service.snapshot().num_batches == 0
+
+    def test_wrong_estimate_count_is_a_counted_failure(self, table):
+        class ShortEstimator(CardinalityEstimator):
+            def estimate(self, query):
+                return 1.0
+
+            def estimate_batch(self, queries):
+                return np.ones(len(queries) + 1)
+
+        with EstimationService(ShortEstimator(table)) as service:
+            with pytest.raises(ValueError, match="runner returned shape"):
+                service.estimate(_age_query(1))
+            parsed = parse_exposition(service.metrics.exposition())
+        assert parsed[("repro_request_errors_total", (("stage", "batch"),))] == 1.0
+
     def test_evaluate_service_reports_load_and_accuracy(self, table, estimator):
         workload = make_random_workload(table, num_queries=30, seed=41)
-        with EstimationService(estimator, ServingConfig(max_wait_ms=0.5)) as service:
+        with EstimationService(estimator, ServingConfig()) as service:
             result = evaluate_service(service, workload, concurrency=4,
                                       num_requests=200, table=table)
         assert result.report.num_requests == 200
