@@ -149,8 +149,8 @@ class ServingConfig:
         but lengthen the pass the first request of a batch waits on.
     cache_capacity:
         Number of entries of the estimate LRU cache.  Keys are canonical
-        (predicate-order and operator-alias insensitive), so permuted
-        repeats of a query hit the cache and skip the model entirely.
+        (column-order and operator-alias insensitive), so such rewrites of
+        a query hit the cache and skip the model entirely.
         ``0`` disables caching.
     latency_window:
         Number of most-recent request latencies retained for the p50/p90/p99

@@ -11,22 +11,22 @@ up to ``P`` predicates on that column, each predicate being:
   ``embedding`` for very large domains (the value part is then looked up in
   a learned embedding owned by the model).
 
-Queries are first translated into *canonical code-space predicates*: the raw
-literal of each predicate is mapped onto the column's dictionary through the
-inclusive code interval it selects, so that training (Algorithm 1 samples
-directly in code space) and inference see exactly the same representation.
+Queries are first translated into *canonical code-space predicates*: each
+predicate's inclusive code interval, read from the table's
+:class:`~repro.workload.CodeIntervals` memo, becomes one ``(operator, code)``
+pair, so that training (Algorithm 1 samples directly in code space) and
+inference see exactly the same representation.  The zero-out masks come from
+the same intervals, intersected per query and column.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.store import DomainGrowthError
 from ..data.table import Table
-from ..workload.predicates import Operator, Predicate
-from ..workload.query import Query
+from ..workload.predicates import Operator
+from ..workload.query import CodeIntervals, Query
 from .config import DuetConfig
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "binary_width",
     "resolve_value_strategy",
     "ColumnPredicateEncoder",
-    "CanonicalPredicate",
     "QueryCodec",
 ]
 
@@ -47,14 +46,6 @@ OPERATOR_FEATURE_WIDTH = 1 + NUM_OPERATORS
 _OP_EQ = Operator.EQ.index
 _OP_GE = Operator.GE.index
 _OP_LE = Operator.LE.index
-
-#: operator -> stable index, as a dict (Operator.index is a linear scan)
-_OP_INDEX = {op: op.index for op in Operator}
-_KIND_EQ = Operator.EQ.index
-_KIND_GT = Operator.GT.index
-_KIND_LT = Operator.LT.index
-_KIND_GE = Operator.GE.index
-_KIND_LE = Operator.LE.index
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -83,14 +74,6 @@ def resolve_value_strategy(num_distinct: int, config: DuetConfig) -> str:
     if num_distinct > config.embedding_threshold:
         return "embedding"
     return config.value_encoding
-
-
-@dataclass(frozen=True)
-class CanonicalPredicate:
-    """A predicate expressed in code space: ``(operator index, literal code)``."""
-
-    op_index: int
-    code: int
 
 
 class ColumnPredicateEncoder:
@@ -159,15 +142,9 @@ class QueryCodec:
             ColumnPredicateEncoder(index, column.num_distinct, config)
             for index, column in enumerate(table.columns)
         ]
-        self._ndv = np.array([column.num_distinct for column in table.columns],
-                             dtype=np.int64)
-        #: global code axis: column i owns codes [offset[i], offset[i+1])
-        self._mask_offsets = np.concatenate([[0], np.cumsum(self._ndv)])
-        self._global_codes = np.arange(int(self._mask_offsets[-1]))
-        #: per-column literal -> (left, right) searchsorted cache; serving
-        #: traffic repeats literals heavily, and a dict hit is ~20x cheaper
-        #: than even a vectorised searchsorted share
-        self._interval_cache: list[dict] = [{} for _ in table.columns]
+        self._last = np.array([column.num_distinct - 1 for column in table.columns],
+                              dtype=np.int64)
+        self.intervals = CodeIntervals(table)
 
     # ------------------------------------------------------------------
     def ensure_compatible(self, table: Table) -> None:
@@ -204,58 +181,13 @@ class QueryCodec:
 
         This is the *re-encode* path for data change without domain growth:
         predicate translation only depends on the sorted distinct values, so
-        after the compatibility check the swap is free (the literal interval
-        cache stays valid for the same reason).  Grown domains raise
+        after the compatibility check the swap is free (the interval memo
+        stays valid for the same reason).  Grown domains raise
         :class:`~repro.data.DomainGrowthError` instead.
         """
         self.ensure_compatible(table)
         self.table = table
-
-    # ------------------------------------------------------------------
-    def canonicalize(self, predicate: Predicate) -> CanonicalPredicate | None:
-        """Map one raw-value predicate to code space.
-
-        Returns ``None`` when the predicate does not constrain the column at
-        all (its code interval covers the whole domain).  Empty predicates
-        are kept (the zero-out mask then produces a zero factor).
-        """
-        column = self.table.column(predicate.column)
-        low, high = predicate.code_interval(column)
-        last = column.num_distinct - 1
-        if low > high:
-            # Unsatisfiable predicate: keep an equality on the nearest code so
-            # the model still sees a constraint; the mask makes the factor 0.
-            return CanonicalPredicate(_OP_EQ, int(np.clip(low, 0, last)))
-        if low == 0 and high == last:
-            return None
-        if low == high:
-            return CanonicalPredicate(_OP_EQ, low)
-        if low == 0:
-            return CanonicalPredicate(_OP_LE, high)
-        if high == last:
-            return CanonicalPredicate(_OP_GE, low)
-        # Two-sided intervals only arise from multiple predicates per column,
-        # each of which is canonicalised separately, so this branch is not
-        # reachable from a single predicate; guard anyway.
-        return CanonicalPredicate(_OP_GE, low)
-
-    def canonical_predicates(self, query: Query) -> dict[int, list[CanonicalPredicate]]:
-        """Canonical predicates of a query, grouped by column index."""
-        grouped: dict[int, list[CanonicalPredicate]] = {}
-        for predicate in query.predicates:
-            column_index = self.table.column_index(predicate.column)
-            canonical = self.canonicalize(predicate)
-            if canonical is None:
-                continue
-            grouped.setdefault(column_index, []).append(canonical)
-        for column_index, predicates in grouped.items():
-            if len(predicates) > self.max_predicates:
-                raise ValueError(
-                    f"query has {len(predicates)} predicates on column "
-                    f"{self.table.column(column_index).name!r} but the model was "
-                    f"configured for at most {self.max_predicates}; "
-                    f"enable multi_predicate / raise max_predicates_per_column")
-        return grouped
+        self.intervals.table = table
 
     # ------------------------------------------------------------------
     def translate_batch(self, queries: list[Query], enforce_slots: bool = True,
@@ -263,12 +195,12 @@ class QueryCodec:
                         ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
         """One-pass batched translation: ``(values, ops, masks)``.
 
-        The serving hot path: every predicate's code interval is computed
-        exactly once (per-column *vectorised* ``searchsorted`` over all
-        literals in the batch instead of two scalar calls per predicate) and
-        both the canonical code arrays and the zero-out masks are derived
-        from the same intervals.  Semantics match :meth:`canonicalize` /
-        :meth:`zero_out_masks` element for element.
+        Every predicate's code interval is read from the
+        :class:`~repro.workload.CodeIntervals` memo (computed once per
+        distinct predicate); the canonical code arrays and the zero-out masks
+        are both derived from those rows.  A one-sided interval becomes
+        ``<= high`` or ``>= low``, a single code ``= code``, an empty one an
+        equality on the nearest code (its mask then zeroes the estimate).
 
         ``enforce_slots=False`` silently drops canonical predicates beyond
         the slot budget instead of raising — the zero-out masks are always
@@ -283,160 +215,61 @@ class QueryCodec:
         ops = np.full(shape, -1, dtype=np.int64)
         masks: list[np.ndarray | None] = [None] * num_columns
 
-        # Flatten every predicate of the batch into parallel lists (queries
-        # outer, predicates inner — the order slot assignment relies on).
-        query_rows: list[int] = []
-        column_rows: list[int] = []
-        kinds: list[int] = []
-        literals: list = []
-        column_index_of = self.table.column_index
-        for query_index, query in enumerate(queries):
-            for predicate in query.predicates:
-                query_rows.append(query_index)
-                column_rows.append(column_index_of(predicate.column))
-                kinds.append(_OP_INDEX[predicate.operator])
-                literals.append(predicate.value)
-        if not query_rows:
+        # Queries outer, predicates inner: the order slot assignment relies on.
+        rows_of = self.intervals.rows
+        flat = [(query_index, *row) for query_index, query in enumerate(queries)
+                for row in rows_of(query)]
+        if not flat:
             return values, ops, masks
-        qi = np.asarray(query_rows, dtype=np.int64)
-        ci = np.asarray(column_rows, dtype=np.int64)
-        kind = np.asarray(kinds, dtype=np.int64)
-        count = kind.size
+        qi, ci, low, high = np.array(flat, dtype=np.int64).T
 
-        # Literal -> [left, right) code positions, one vectorised
-        # searchsorted per constrained column (stable sort keeps each
-        # column's predicates in query order, qi ascending inside a group).
-        left = np.empty(count, dtype=np.int64)
-        right = np.empty(count, dtype=np.int64)
-        by_column = np.argsort(ci, kind="stable")
-        ci_sorted = ci[by_column]
-        group_starts = np.flatnonzero(_run_starts(ci_sorted))
-        group_ends = np.append(group_starts[1:], count)
-        for start, end in zip(group_starts, group_ends):
-            column_index = int(ci_sorted[start])
-            cache = self._interval_cache[column_index]
-            missing = []
-            for i in by_column[start:end]:
-                cached = cache.get(literals[i])
-                if cached is None:
-                    missing.append(i)
-                else:
-                    left[i], right[i] = cached
-            if not missing:
-                continue
-            column = self.table.column(column_index)
-            try:
-                chunk = np.asarray([literals[i] for i in missing])
-                left[missing] = np.searchsorted(column.distinct_values, chunk,
-                                                side="left")
-                right[missing] = np.searchsorted(column.distinct_values, chunk,
-                                                 side="right")
-            except (TypeError, ValueError):  # ragged / incomparable literals
-                for i in missing:
-                    left[i] = column.searchsorted(literals[i], side="left")
-                    right[i] = column.searchsorted(literals[i], side="right")
-            if len(cache) > 262144:  # bound a long-lived service's footprint
-                cache.clear()
-            for i in missing:
-                cache[literals[i]] = (left[i], right[i])
-
-        # Inclusive code intervals — vectorised Predicate.code_interval over
-        # the whole batch at once.
-        last = self._ndv[ci] - 1
-        is_eq = kind == _KIND_EQ
-        low = np.zeros(count, dtype=np.int64)
-        high = last.copy()
-        np.copyto(low, left, where=is_eq | (kind == _KIND_GE))
-        np.copyto(low, right, where=kind == _KIND_GT)
-        np.copyto(high, right - 1, where=is_eq | (kind == _KIND_LE))
-        np.copyto(high, left - 1, where=kind == _KIND_LT)
-        eq_missing = is_eq & (left == right)  # equality on an absent value
-        low[eq_missing] = 1
-        high[eq_missing] = 0
-        #: predicates whose interval covers the whole domain constrain nothing
-        whole_domain = (low == 0) & (high == last)
-
-        if with_masks:
-            self._build_masks(batch, qi, ci, low, high, whole_domain, masks)
-
-        # Canonical (operator, code) pairs — vectorised `canonicalize`.
-        # Later assignments override earlier ones, so the priority order is
-        # the reverse of the scalar if-chain: GE default, then low == 0,
-        # low == high, whole-domain (dropped), unsatisfiable.
-        canonical_op = np.full(count, _OP_GE, dtype=np.int64)
+        # Canonical (operator, code) pairs.  Later assignments override
+        # earlier ones: GE default, then low == 0, low == high, unsatisfiable.
+        canonical_op = np.full(qi.size, _OP_GE, dtype=np.int64)
         canonical_code = low.copy()
         is_low_zero = low == 0
-        np.copyto(canonical_op, _OP_LE, where=is_low_zero)
-        np.copyto(canonical_code, high, where=is_low_zero)
-        is_point = low == high
-        np.copyto(canonical_op, _OP_EQ, where=is_point)
-        np.copyto(canonical_code, low, where=is_point)
-        np.copyto(canonical_op, -1, where=whole_domain)
+        canonical_op[is_low_zero] = _OP_LE
+        canonical_code[is_low_zero] = high[is_low_zero]
+        canonical_op[low == high] = _OP_EQ
         unsat = low > high
-        np.copyto(canonical_op, _OP_EQ, where=unsat)
-        np.copyto(canonical_code, np.clip(low, 0, last), where=unsat)
+        canonical_op[unsat] = _OP_EQ
+        canonical_code[unsat] = np.clip(low[unsat], 0, self._last[ci[unsat]])
 
-        # Slot assignment: occurrence index within each (query, column) pair
-        # among kept predicates, in predicate order (stable sort preserves it).
-        kept = np.flatnonzero(canonical_op >= 0)
-        if not kept.size:
-            return values, ops, masks
-        order = kept[np.argsort(qi[kept] * num_columns + ci[kept], kind="stable")]
+        # Slot assignment: occurrence index within each (query, column) pair,
+        # in predicate order (stable sort preserves it).
+        order = np.argsort(qi * num_columns + ci, kind="stable")
         rows, cols = qi[order], ci[order]
-        same = ~_run_starts(rows * num_columns + cols)
-        positions = np.arange(order.size)
-        group_first = positions[~same]
+        group_first = np.flatnonzero(_run_starts(rows * num_columns + cols))
         group_sizes = np.diff(np.append(group_first, order.size))
-        slots = positions - np.repeat(group_first, group_sizes)
-        if slots.max(initial=0) >= self.max_predicates:
-            if enforce_slots:
-                overflow = int(np.argmax(slots))
-                raise ValueError(
-                    f"query has {int(group_sizes.max())} predicates on column "
-                    f"{self.table.column(int(cols[overflow])).name!r} but the "
-                    f"model was configured for at most {self.max_predicates}; "
-                    f"enable multi_predicate / raise max_predicates_per_column")
-            within = slots < self.max_predicates
-            order, rows, cols, slots = (order[within], rows[within],
-                                        cols[within], slots[within])
+        slots = np.arange(order.size) - np.repeat(group_first, group_sizes)
+        overflow = slots >= self.max_predicates
+        if enforce_slots and overflow.any():
+            raise ValueError(
+                f"query has {int(group_sizes.max())} predicates on column "
+                f"{self.table.column(int(cols[np.argmax(slots)])).name!r} but "
+                f"the model was configured for at most {self.max_predicates}; "
+                f"enable multi_predicate / raise max_predicates_per_column")
+
+        if with_masks:
+            # One interval per (query, column): the intersection of its
+            # predicates' intervals over the groups sorted above.
+            group_low = np.maximum.reduceat(low[order], group_first)
+            group_high = np.minimum.reduceat(high[order], group_first)
+            group_rows, group_cols = rows[group_first], cols[group_first]
+            for column_index in np.unique(group_cols):
+                selected = group_cols == column_index
+                codes = np.arange(self._last[column_index] + 1)
+                mask = np.ones((batch, codes.size), dtype=np.float64)
+                mask[group_rows[selected]] = (
+                    (codes >= group_low[selected, None])
+                    & (codes <= group_high[selected, None]))
+                masks[column_index] = mask
+
+        keep = ~overflow
+        order, rows, cols, slots = order[keep], rows[keep], cols[keep], slots[keep]
         values[rows, cols, slots] = canonical_code[order]
         ops[rows, cols, slots] = canonical_op[order]
         return values, ops, masks
-
-    def _build_masks(self, batch: int, qi: np.ndarray, ci: np.ndarray,
-                     low: np.ndarray, high: np.ndarray,
-                     whole_domain: np.ndarray,
-                     masks: list[np.ndarray | None]) -> None:
-        """Zero-out masks: one (batch, sum NDV) matrix over the global code
-        axis, ANDed per query with a single reduceat — constrained columns
-        become views into it, unconstrained columns stay ``None``.  A
-        predicate's row is its interval inside its own column's segment and
-        all-ones everywhere else, so predicates on different columns combine
-        without touching each other's segments.
-        """
-        offsets = self._mask_offsets
-        codes = self._global_codes
-        block_lo = offsets[ci]
-        satisfied = ((codes >= (low + block_lo)[:, None])
-                     & (codes <= (high + block_lo)[:, None])
-                     | (codes < block_lo[:, None])
-                     | (codes >= offsets[ci + 1][:, None]))
-        query_first = _run_starts(qi)  # qi is non-decreasing by construction
-        if query_first.all():
-            reduced = satisfied
-            constrained_rows = qi
-        else:
-            starts = np.flatnonzero(query_first)
-            reduced = np.logical_and.reduceat(satisfied, starts, axis=0)
-            constrained_rows = qi[starts]
-        global_mask = np.ones((batch, codes.size), dtype=np.float64)
-        global_mask[constrained_rows] = reduced
-        # Whole-domain predicates contribute all-ones rows; a column whose
-        # only predicates are whole-domain is NOT constrained — it keeps the
-        # ``None`` sentinel so the selectivity paths skip it exactly.
-        for column_index in np.unique(ci[~whole_domain]):
-            begin, stop = offsets[column_index], offsets[column_index + 1]
-            masks[column_index] = global_mask[:, begin:stop]
 
     # ------------------------------------------------------------------
     def queries_to_code_arrays(self, queries: list[Query]

@@ -6,7 +6,7 @@ Turns the offline Duet reproduction into a production-style service:
   + :class:`~repro.core.DuetConfig`) keyed by ``(dataset, version)`` with a
   ``manifest.json`` index;
 * :class:`EstimateCache` / :class:`QueryKeyEncoder` — LRU memoisation of
-  estimates under canonical (order- and alias-insensitive) query keys;
+  estimates under canonical (column-order and alias-insensitive) query keys;
 * :class:`MicroBatcher` — coalesces concurrent single-query requests into
   vectorised ``estimate_batch`` forward passes;
 * :class:`EstimationService` — the thread-safe frontend tying them together,

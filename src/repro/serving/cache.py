@@ -3,21 +3,26 @@
 Online workloads repeat themselves (the paper's In-Q workloads model exactly
 that locality), so the serving layer memoises estimates.  The cache key is
 *canonical*: every predicate is translated into the inclusive code interval
-it selects on its column (the same translation Duet's zero-out mask uses),
-intervals on the same column are intersected, and the per-column intervals
-are sorted.  Two queries therefore share a key whenever they select the same
-tuples — regardless of predicate order or of operator spelling (on an
-integer-coded domain ``x > 3`` and ``x >= 4`` select the same interval).
+it selects on its column (the table's :class:`~repro.workload.CodeIntervals`
+memo, the same rows Duet's code arrays and zero-out masks are built from),
+predicates covering a whole domain are dropped, and the rows are sorted by
+column while keeping predicate order within a column.  Two queries therefore
+share a key exactly when the model sees the same input — regardless of the
+order of their columns or of operator spelling (on an integer-coded domain
+``x > 3`` and ``x >= 4`` select the same interval).  Predicates on one column
+are *not* intersected into one interval: a multi-predicate model sees each
+of them, and its estimate can depend on their number and order.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Hashable
 
 from ..data.table import Table
-from ..workload.query import Query
+from ..workload.query import CodeIntervals, Query
 
 __all__ = ["QueryKeyEncoder", "EstimateCache"]
 
@@ -35,22 +40,23 @@ class QueryKeyEncoder:
     def __init__(self, table: Table, namespace: tuple | None = None) -> None:
         self.table = table
         self.namespace = namespace
+        self._intervals = CodeIntervals(table)
 
     def key(self, query: Query) -> tuple:
-        """Canonical key: sorted ``(column, low, high)`` code intervals.
+        """Canonical key: the query's ``(column, low, high)`` interval rows.
 
-        Built on :meth:`Query.code_intervals` — the same interval semantics
-        the ground-truth executor uses — so two queries share a key exactly
-        when they select the same tuples (and, with a namespace attached,
-        are answered by the same model over the same data version).
+        Rows are sorted by column (stably, so predicates on one column stay
+        in query order) and empty intervals are normalised to ``(1, 0)``.
+        Two queries share a key exactly when they give the estimator the same
+        input (and, with a namespace attached, are answered by the same model
+        over the same data version).
         """
-        intervals = tuple(sorted(
-            (column_index, low, high)
-            for column_index, (low, high) in query.code_intervals(self.table).items()
-        ))
+        rows = [(column_index, 1, 0) if low > high else (column_index, low, high)
+                for column_index, low, high in self._intervals.rows(query)]
+        rows.sort(key=itemgetter(0))
         if self.namespace is None:
-            return intervals
-        return (self.namespace, intervals)
+            return tuple(rows)
+        return (self.namespace, tuple(rows))
 
 
 class EstimateCache:

@@ -212,7 +212,7 @@ class EstimationService:
         # identity before the put keeps this request from re-inserting an
         # estimate under the superseded namespace after the flush.
         keys = self._keys
-        key = keys.key(query) if self.config.cache_capacity else None
+        key = self._key(keys, query)
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
@@ -262,7 +262,7 @@ class EstimationService:
         encoder = self._keys  # captured once; see estimate() for why
         keys: list = [None] * len(queries)
         for index, query in enumerate(queries):
-            key = encoder.key(query) if self.config.cache_capacity else None
+            key = self._key(encoder, query)
             keys[index] = key
             cached = self.cache.get(key) if key is not None else None
             if cached is None:
@@ -282,6 +282,18 @@ class EstimationService:
         for index in range(len(queries)):
             self.stats.record_request(per_query, cache_hit=index not in missed)
         return estimates
+
+    def _key(self, encoder: QueryKeyEncoder, query: Query):
+        """Cache key of ``query``, ``None`` with the cache off.  A key that
+        cannot be built (an unknown column) is counted under
+        ``repro_request_errors_total{stage="key"}`` and re-raised."""
+        if not self.config.cache_capacity:
+            return None
+        try:
+            return encoder.key(query)
+        except Exception:
+            self.stats.record_error("key")
+            raise
 
     def probe_batch(self, queries: Sequence[Query]) -> np.ndarray:
         """Forward pass outside the request path: no cache, no counters.

@@ -127,10 +127,12 @@ class ServiceStats:
             buckets=BATCH_SIZE_BUCKETS).labels()
         self._errors = self.metrics.counter(
             "repro_request_errors_total",
-            "Failed request-path work, by stage (batch: a forward pass "
-            "that raised; every request it served got the error).",
+            "Failed request-path work, by stage (key: a cache key that "
+            "could not be built; batch: a forward pass that raised, every "
+            "request it served got the error).",
             labels=("stage",))
-        self._errors.labels(stage="batch")  # exported as 0 until a pass fails
+        for stage in ("key", "batch"):  # exported as 0 until one fails
+            self._errors.labels(stage=stage)
         self._swaps = self.metrics.counter(
             "repro_model_swaps_total",
             "Hot-swaps of the served model (refreshes + cold trains).").labels()

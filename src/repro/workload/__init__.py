@@ -15,13 +15,14 @@ from .generator import (
     make_random_workload,
 )
 from .predicates import Operator, Predicate
-from .query import Query
+from .query import CodeIntervals, Query
 from .workload import Workload
 
 __all__ = [
     "Operator",
     "Predicate",
     "Query",
+    "CodeIntervals",
     "Workload",
     "execute",
     "cardinality",

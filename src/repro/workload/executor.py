@@ -14,7 +14,7 @@ import numpy as np
 
 from ..data.store import TableDelta
 from ..data.table import Table
-from .query import Query
+from .query import CodeIntervals, Query
 
 __all__ = ["execute", "cardinality", "selectivity", "true_cardinalities",
            "true_cardinalities_delta"]
@@ -160,18 +160,26 @@ def true_cardinalities_delta(delta: TableDelta, queries: Sequence[Query],
 
 def _interval_index(table: Table, queries: Sequence[Query]
                     ) -> tuple[dict[int, dict[int, tuple[int, int]]], np.ndarray]:
-    """Regroup each query's :meth:`Query.code_intervals` by column.
+    """Intersect each query's :class:`CodeIntervals` rows per column.
 
     Returns ``(intervals, unsatisfiable)`` where ``intervals[column][query]``
     is the inclusive code interval query ``query`` places on ``column``
-    (full-domain intervals are dropped) and ``unsatisfiable`` flags queries
-    whose interval on some column is empty (cardinality 0 by construction).
+    (predicates covering the whole domain constrain nothing and are absent)
+    and ``unsatisfiable`` flags queries whose interval on some column is
+    empty (cardinality 0 by construction).
     """
+    rows_of = CodeIntervals(table).rows
     intervals: dict[int, dict[int, tuple[int, int]]] = {}
     unsatisfiable = np.zeros(len(queries), dtype=bool)
     for query_index, query in enumerate(queries):
         query.validate(table)
-        for column_index, (low, high) in query.code_intervals(table).items():
+        per_column: dict[int, tuple[int, int]] = {}
+        for column_index, low, high in rows_of(query):
+            previous = per_column.get(column_index)
+            if previous is not None:
+                low, high = max(previous[0], low), min(previous[1], high)
+            per_column[column_index] = (low, high)
+        for column_index, (low, high) in per_column.items():
             if low > high:
                 unsatisfiable[query_index] = True
             else:

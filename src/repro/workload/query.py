@@ -1,4 +1,12 @@
-"""Query model: a conjunction of predicates over one table."""
+"""Query model: a conjunction of predicates over one table, and its one
+translation into dictionary-code space.
+
+:class:`CodeIntervals` is the single predicate→interval translation.  It
+memoises, per table, the inclusive code interval each predicate selects
+(:meth:`Predicate.code_interval`); the serving cache key, the model's code
+arrays and zero-out masks, and the ground-truth executor's labels are all
+derived from its per-predicate rows.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,12 @@ from typing import Iterable, Sequence
 from ..data.table import Table
 from .predicates import Operator, Predicate
 
-__all__ = ["Query"]
+__all__ = ["Query", "CodeIntervals"]
+
+#: memo size past which a translator starts over (bounds a long-lived
+#: service's footprint)
+_MEMO_LIMIT = 262144
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -55,34 +68,6 @@ class Query:
             return 0
         return max(len(self.predicates_on(column)) for column in self.columns)
 
-    def code_intervals(self, table: Table) -> dict[int, tuple[int, int]]:
-        """This query as one inclusive code interval per constrained column.
-
-        Conjunctions of interval predicates stay intervals, so all predicates
-        on one column intersect into a single ``(low, high)`` pair.  Intervals
-        covering a column's whole domain are dropped (the predicate does not
-        constrain anything); an unsatisfiable intersection is normalised to
-        the canonical empty interval ``(1, 0)``.  This is the semantic form
-        shared by the ground-truth executor and the serving cache key: two
-        queries with equal interval maps select exactly the same tuples.
-        """
-        intervals: dict[int, tuple[int, int]] = {}
-        for predicate in self.predicates:
-            column_index = table.column_index(predicate.column)
-            column = table.column(column_index)
-            low, high = predicate.code_interval(column)
-            previous = intervals.get(column_index)
-            if previous is not None:
-                low, high = max(previous[0], low), min(previous[1], high)
-            if low > high:
-                low, high = 1, 0
-            intervals[column_index] = (low, high)
-        return {
-            column_index: (low, high)
-            for column_index, (low, high) in intervals.items()
-            if not (low == 0 and high == table.column(column_index).num_distinct - 1)
-        }
-
     # ------------------------------------------------------------------
     def validate(self, table: Table) -> None:
         """Raise if the query references columns the table does not have."""
@@ -102,3 +87,44 @@ class Query:
 
     def __len__(self) -> int:
         return len(self.predicates)
+
+
+class CodeIntervals:
+    """Per-table memo ``Predicate -> (column_index, low, high)``.
+
+    ``[low, high]`` is the inclusive code interval the predicate selects on
+    its column (empty when ``low > high``).  A predicate whose interval
+    covers the column's whole domain constrains nothing and yields no row.
+    Codes depend only on each column's sorted distinct values, so the memo
+    stays valid when :attr:`table` is re-pointed at a snapshot with
+    identical domains.  Concurrent misses at worst translate a predicate
+    twice, so no lock is needed.
+    """
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self._memo: dict[Predicate, tuple[int, int, int] | None] = {}
+
+    def rows(self, query: Query) -> list[tuple[int, int, int]]:
+        """Rows of the predicates of ``query`` that constrain their column,
+        in predicate order.  Raises :class:`KeyError` on an unknown column."""
+        memo = self._memo
+        rows = []
+        for predicate in query.predicates:
+            row = memo.get(predicate, _MISS)
+            if row is _MISS:
+                row = self._translate(predicate)
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def _translate(self, predicate: Predicate) -> tuple[int, int, int] | None:
+        column_index = self.table.column_index(predicate.column)
+        column = self.table.column(column_index)
+        low, high = predicate.code_interval(column)
+        row = (None if low == 0 and high == column.num_distinct - 1
+               else (column_index, low, high))
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[predicate] = row
+        return row

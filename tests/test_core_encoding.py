@@ -1,4 +1,5 @@
-"""Tests for predicate encoding, query canonicalisation, and Algorithm 1."""
+"""Tests for predicate encoding, query canonicalisation, the one interval
+translation behind keys, labels and masks, and Algorithm 1."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from repro.core import DuetConfig, QueryCodec, VirtualTableSampler, binary_width
 from repro.core.encoding import ColumnPredicateEncoder, resolve_value_strategy
 from repro.data import Table, make_census
-from repro.workload import Operator, Query, cardinality
+from repro.serving import QueryKeyEncoder
+from repro.workload import Operator, Predicate, Query, cardinality, true_cardinalities
+from translation_oracle import canonicalize
 
 
 @pytest.fixture(scope="module")
@@ -105,27 +108,27 @@ class TestQueryCodec:
 
     def test_canonical_equality(self, toy_table):
         codec = QueryCodec(toy_table, DuetConfig())
-        canonical = codec.canonicalize(Query.from_triples([("a", "=", 3)]).predicates[0])
+        canonical = canonicalize(codec, Query.from_triples([("a", "=", 3)]).predicates[0])
         assert canonical.op_index == Operator.EQ.index
         assert canonical.code == 3
 
     def test_canonical_range_with_absent_literal(self):
         table = Table.from_dict("t", {"a": [10, 20, 40, 50]})
         codec = QueryCodec(table, DuetConfig())
-        canonical = codec.canonicalize(Query.from_triples([("a", ">", 30)]).predicates[0])
+        canonical = canonicalize(codec, Query.from_triples([("a", ">", 30)]).predicates[0])
         # "> 30" selects codes {2, 3}; canonical form is ">= code 2".
         assert canonical.op_index == Operator.GE.index
         assert canonical.code == 2
 
     def test_non_selective_predicate_becomes_wildcard(self, toy_table):
         codec = QueryCodec(toy_table, DuetConfig())
-        canonical = codec.canonicalize(Query.from_triples([("a", ">=", 0)]).predicates[0])
+        canonical = canonicalize(codec, Query.from_triples([("a", ">=", 0)]).predicates[0])
         assert canonical is None
 
     def test_unsatisfiable_predicate_kept_with_empty_mask(self, toy_table):
         codec = QueryCodec(toy_table, DuetConfig())
         query = Query.from_triples([("b", "=", "zzz")])
-        canonical = codec.canonicalize(query.predicates[0])
+        canonical = canonicalize(codec, query.predicates[0])
         assert canonical is not None
         masks = codec.zero_out_masks([query])
         assert masks[1][0].sum() == 0
@@ -259,3 +262,73 @@ class TestCodecAgainstExecutor:
         frequencies = column.frequencies()
         estimate = (frequencies * masks[table.column_index("age")][0]).sum() * table.num_rows
         assert estimate == pytest.approx(cardinality(table, query))
+
+
+@st.composite
+def _census_predicates(draw, table):
+    """A predicate on a census column; literals include both values just
+    outside the domain."""
+    column = table.columns[draw(st.integers(0, table.num_columns - 1))]
+    domain = column.distinct_values
+    position = draw(st.integers(-1, domain.size))
+    value = (domain[0] - 1 if position < 0
+             else domain[-1] + 1 if position == domain.size else domain[position])
+    return Predicate(column.name, draw(st.sampled_from(list(Operator))), value)
+
+
+class TestOneIntervalTranslation:
+    """Key, labels and masks all come from the same per-predicate intervals,
+    so rewrites that select the same codes must agree on all three."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        return make_census(scale=0.05, seed=0)
+
+    @staticmethod
+    def _rewrites(table, query, data):
+        predicates = list(query.predicates)
+        # Permute, keeping each column's predicates in their own order (a
+        # multi-predicate model sees them in that order).
+        shuffled = data.draw(st.permutations(predicates))
+        per_column = {column: iter(query.predicates_on(column))
+                      for column in query.columns}
+        permuted = Query(next(per_column[predicate.column]) for predicate in shuffled)
+        # "> v" selects the same codes as ">= next(v)" (when next(v) exists).
+        inclusive = []
+        for predicate in predicates:
+            domain = table.column(predicate.column).distinct_values
+            following = np.searchsorted(domain, predicate.value, side="right")
+            if predicate.operator is Operator.GT and following < domain.size:
+                predicate = Predicate(predicate.column, Operator.GE, domain[following])
+            inclusive.append(predicate)
+        # A predicate covering a whole domain constrains nothing.
+        column = table.columns[data.draw(st.integers(0, table.num_columns - 1))]
+        padded = list(predicates)
+        padded.insert(data.draw(st.integers(0, len(padded))),
+                      Predicate(column.name, Operator.GE, column.distinct_values[0]))
+        return [permuted, Query(inclusive), Query(padded)]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rewrites_share_key_labels_and_masks(self, census, data):
+        query = Query(data.draw(st.lists(_census_predicates(census),
+                                         min_size=1, max_size=6)))
+        batch = [query, *self._rewrites(census, query, data)]
+        keys = QueryKeyEncoder(census)
+        assert all(keys.key(rewrite) == keys.key(query) for rewrite in batch[1:])
+
+        labels = true_cardinalities(census, batch)
+        assert labels.tolist() == [cardinality(census, member) for member in batch]
+        assert len(set(labels.tolist())) == 1
+
+        codec = QueryCodec(census, DuetConfig())
+        _, _, masks = codec.translate_batch(batch, enforce_slots=False)
+        for column_index, column in enumerate(census.columns):
+            expected = np.ones((len(batch), column.num_distinct), dtype=bool)
+            for row, member in enumerate(batch):
+                for predicate in member.predicates_on(column.name):
+                    expected[row] &= predicate.valid_value_mask(column)
+            if masks[column_index] is None:
+                assert expected.all()
+            else:
+                np.testing.assert_array_equal(masks[column_index], expected)

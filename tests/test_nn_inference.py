@@ -16,6 +16,7 @@ from repro.workload import (
     make_multi_predicate_workload,
     make_random_workload,
 )
+from translation_oracle import canonical_predicates
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +298,7 @@ class TestTranslateBatch:
         values = np.full(shape, -1, dtype=np.int64)
         ops = np.full(shape, -1, dtype=np.int64)
         for qi, query in enumerate(queries):
-            for ci, preds in codec.canonical_predicates(query).items():
+            for ci, preds in canonical_predicates(codec, query).items():
                 for slot, canonical in enumerate(preds):
                     values[qi, ci, slot] = canonical.code
                     ops[qi, ci, slot] = canonical.op_index

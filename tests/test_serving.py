@@ -6,6 +6,7 @@ registry save -> load -> identical-estimates round trip, plus service-level
 end-to-end behaviour and stats.
 """
 
+import itertools
 import sys
 import threading
 import time
@@ -18,9 +19,10 @@ from repro.core import (
     DuetConfig,
     DuetEstimator,
     DuetModel,
+    MPSNConfig,
     ServingConfig,
 )
-from repro.data import Table
+from repro.data import Table, make_census
 from repro.eval import evaluate_service, run_load_test
 from repro.obs import parse_exposition
 from repro.serving import (
@@ -70,6 +72,10 @@ class TestQueryKeyEncoder:
         below = Query.from_triples([("age", "<", 30)])
         at_most = Query.from_triples([("age", "<=", 29)])
         assert keys.key(below) == keys.key(at_most)
+        # Every empty interval is one key: the estimate is 0 either way.
+        absent = Query.from_triples([("age", "=", 99)])
+        above_max = Query.from_triples([("age", ">", 99)])
+        assert keys.key(absent) == keys.key(above_max)
 
     def test_distinct_queries_get_distinct_keys(self, table):
         keys = QueryKeyEncoder(table)
@@ -85,12 +91,73 @@ class TestQueryKeyEncoder:
         bare = Query.from_triples([("score", "=", 3)])
         assert keys.key(padded) == keys.key(bare)
 
-    def test_same_column_intervals_intersect(self, table):
-        keys = QueryKeyEncoder(table)
-        two_sided = Query.from_triples([("age", ">=", 30), ("age", "<=", 40)])
-        reordered = Query.from_triples([("age", "<=", 40), ("age", ">=", 30)])
-        assert keys.key(two_sided) == keys.key(reordered)
-        assert keys.key(two_sided) != keys.key(Query.from_triples([("age", ">=", 30)]))
+    def test_same_column_intervals_intersect(self):
+        """Equal keys must mean equal uncached estimates.
+
+        Predicates on one column intersect in the zero-out mask, but a
+        multi-predicate model also sees each of them, in order, so the key
+        keeps them apart.  Single-predicate rewrites (column order, operator
+        spelling) still share a key.
+        """
+        census = make_census(scale=0.05)
+        a, b = census.columns[1], census.columns[6]
+        v1, v2, v3, v4 = (a.distinct_values[i] for i in (1, 2, 3, 4))
+        m = b.distinct_values[7]
+        queries = [Query.from_triples(triples) for triples in (
+            [(a.name, ">=", v1), (a.name, ">=", v3), (b.name, "<=", m)],
+            [(a.name, ">=", v3), (b.name, "<=", m)],
+            [(b.name, "<=", m), (a.name, ">", v2)],
+            [(a.name, ">=", v1), (a.name, "<=", v4), (b.name, "<=", m)],
+            [(a.name, "<=", v4), (a.name, ">=", v1), (b.name, "<=", m)],
+        )]
+        keys = QueryKeyEncoder(census)
+        # Redundant and reordered same-column predicates get their own keys;
+        # column order and "> v2" vs ">= v3" do not matter.
+        assert len({keys.key(query) for query in queries}) == 4
+        assert keys.key(queries[1]) == keys.key(queries[2])
+        for kind in ("mlp", "rnn"):
+            estimator = DuetEstimator(DuetModel(census, DuetConfig(
+                hidden_sizes=(32, 32), multi_predicate=True,
+                max_predicates_per_column=2, mpsn=MPSNConfig(kind=kind))))
+            uncached = [float(estimator.estimate_batch([query])[0])
+                        for query in queries]
+            for first, second in itertools.combinations(range(len(queries)), 2):
+                if keys.key(queries[first]) == keys.key(queries[second]):
+                    assert uncached[first] == uncached[second]
+            with EstimationService(estimator,
+                                   ServingConfig(micro_batching=False)) as service:
+                served = [service.estimate(query) for query in queries]
+            np.testing.assert_allclose(served, uncached, rtol=1e-12)
+
+
+    def test_shared_encoder_under_threads(self, table, monkeypatch):
+        """Client threads share one encoder's interval memo; concurrent
+        misses and memo resets must never change a key."""
+        monkeypatch.setattr("repro.workload.query._MEMO_LIMIT", 8)
+        queries = make_random_workload(table, num_queries=60, seed=3).queries
+        expected = [QueryKeyEncoder(table).key(query) for query in queries]
+        shared = QueryKeyEncoder(table)
+        mismatches = []
+
+        def client(worker):
+            for round_ in range(20):
+                for index in range(worker + round_, len(queries), 3):
+                    if shared.key(queries[index]) != expected[index]:
+                        mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(LIVENESS_SECONDS)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
 
 class TestEstimateCache:
@@ -421,6 +488,24 @@ class TestEstimationService:
                 # Each caller sees the runner's own error, not a wrapper.
                 assert raised.value is failure
             assert batch_errors(service) == 3.0
+            assert service.snapshot().num_batches == 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_key_failures_are_counted(self, table, estimator, batched):
+        def errors(service, stage):
+            parsed = parse_exposition(service.metrics.exposition())
+            return parsed[("repro_request_errors_total", (("stage", stage),))]
+
+        unknown = Query.from_triples([("age", ">=", 30), ("height", "<", 2)])
+        with EstimationService(estimator) as service:
+            assert errors(service, "key") == 0.0
+            with pytest.raises(KeyError, match="no column 'height'"):
+                if batched:
+                    service.estimate_batch([_age_query(30), unknown])
+                else:
+                    service.estimate(unknown)
+            assert errors(service, "key") == 1.0
+            assert errors(service, "batch") == 0.0
             assert service.snapshot().num_batches == 0
 
     def test_wrong_estimate_count_is_a_counted_failure(self, table):
