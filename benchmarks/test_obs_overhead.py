@@ -112,7 +112,7 @@ def test_dormant_observability_costs_no_throughput(benchmark, served_model):
     assert traced_service.tracer.slowest()
     profile = traced_service.profile_report()
     assert profile is not None
-    assert all(stats["calls"] > 0 for stats in profile["phases"].values())
+    assert all(stats["calls"] > 0 for stats in profile["made_stages"])
 
     # ...and the dormant arm must not lose to the fully-instrumented one
     # (direction check; shared runners make tight margins flaky, so the

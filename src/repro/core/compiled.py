@@ -26,7 +26,6 @@ the lock is uncontended there).
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
@@ -79,11 +78,6 @@ class CompiledDuetModel:
         self._fast_encode = not self._embeddings and not model.config.multi_predicate
         if self._fast_encode:
             self._build_encode_tables()
-        # Phase profiling (opt-in): cumulative seconds/calls of the encode
-        # gather, the lowered MADE forward, and the fused zero-out mask.
-        self._profile = False
-        self.phase_seconds = {"encode": 0.0, "forward": 0.0, "mask": 0.0}
-        self.phase_calls = {"encode": 0, "forward": 0, "mask": 0}
         self.lock = threading.Lock()
 
     def _build_encode_tables(self) -> None:
@@ -130,32 +124,15 @@ class CompiledDuetModel:
     # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
-    @property
-    def profiling(self) -> bool:
-        return self._profile
-
     def enable_profiling(self, enabled: bool = True) -> None:
-        """Toggle phase timing here and per-stage timing on the plans."""
-        self._profile = enabled
+        """Toggle per-stage timing on the MADE plan and the merged MPSN."""
         self.made_plan.enable_profiling(enabled)
         if self._merged_mpsn is not None:
             self._merged_mpsn.plan.enable_profiling(enabled)
 
-    def reset_profile(self) -> None:
-        self.phase_seconds = {"encode": 0.0, "forward": 0.0, "mask": 0.0}
-        self.phase_calls = {"encode": 0, "forward": 0, "mask": 0}
-        self.made_plan.reset_profile()
-        if self._merged_mpsn is not None:
-            self._merged_mpsn.plan.reset_profile()
-
     def profile_report(self) -> dict:
-        """Phase totals plus the MADE plan's per-stage attribution."""
-        report = {
-            "phases": {name: {"calls": self.phase_calls[name],
-                              "seconds": self.phase_seconds[name]}
-                       for name in self.phase_seconds},
-            "made_stages": self.made_plan.profile_report(),
-        }
+        """Per-stage attribution of the MADE plan (and the merged MPSN)."""
+        report = {"made_stages": self.made_plan.profile_report()}
         if self._merged_mpsn is not None:
             report["mpsn_stages"] = self._merged_mpsn.plan.profile_report()
         return report
@@ -170,16 +147,6 @@ class CompiledDuetModel:
         buffers).  Accepts the same ``(batch, columns[, slots])`` arrays as
         :meth:`DuetModel.encode_batch`.
         """
-        if not self._profile:
-            return self._encode(values, ops)
-        started = time.perf_counter()
-        try:
-            return self._encode(values, ops)
-        finally:
-            self.phase_seconds["encode"] += time.perf_counter() - started
-            self.phase_calls["encode"] += 1
-
-    def _encode(self, values: np.ndarray, ops: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
         ops = np.asarray(ops, dtype=np.int64)
         if values.ndim == 2:
@@ -242,28 +209,13 @@ class CompiledDuetModel:
     # ------------------------------------------------------------------
     def logits(self, encoded: np.ndarray) -> np.ndarray:
         """Run the lowered MADE; returns a buffer view (caller holds lock)."""
-        if not self._profile:
-            return self.made_plan.run(encoded)
-        started = time.perf_counter()
-        try:
-            return self.made_plan.run(encoded)
-        finally:
-            self.phase_seconds["forward"] += time.perf_counter() - started
-            self.phase_calls["forward"] += 1
+        return self.made_plan.run(encoded)
 
     def selectivity_from_logits(self, logits: np.ndarray,
                                 masks: list[np.ndarray | None]) -> np.ndarray:
         """Fused zero-out product; returns a fresh ``(batch,)`` float64 array."""
-        if not self._profile:
-            mass = masked_block_mass(logits, self.blocks, masks)
-            return np.asarray(mass, dtype=np.float64)
-        started = time.perf_counter()
-        try:
-            mass = masked_block_mass(logits, self.blocks, masks)
-            return np.asarray(mass, dtype=np.float64)
-        finally:
-            self.phase_seconds["mask"] += time.perf_counter() - started
-            self.phase_calls["mask"] += 1
+        mass = masked_block_mass(logits, self.blocks, masks)
+        return np.asarray(mass, dtype=np.float64)
 
     def selectivities(self, values: np.ndarray, ops: np.ndarray,
                       masks: list[np.ndarray | None]) -> np.ndarray:

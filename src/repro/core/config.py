@@ -104,9 +104,8 @@ class ObsConfig:
         ``service.tracer.slowest()``.
     profile_plan_stages:
         When true, the compiled :class:`~repro.nn.ForwardPlan` accumulates
-        per-stage wall time and invocation counts (and the compiled model
-        times its encode/forward/mask phases), so plan time can be
-        attributed to individual gather/matmul/mask stages.  Off by
+        per-stage wall time and invocation counts, so plan time can be
+        attributed to individual matmul/activation stages.  Off by
         default: the profiled ``run()`` loop reads the clock twice per
         stage.
     export_interval_seconds:

@@ -27,17 +27,27 @@ __all__ = ["DuetEstimator", "EstimationBreakdown"]
 
 
 class EstimationBreakdown(dict):
-    """Per-phase wall-clock cost of a batch estimation (seconds).
+    """Per-stage wall-clock cost of one batch estimation (seconds).
 
-    Keys: ``encoding`` (predicate translation + input encoding) and
-    ``inference`` (network forward pass + zero-out + product).  Figure 6 of
-    the paper plots exactly this breakdown.
+    Keys, in execution order: ``translate`` (query predicates into
+    code-space arrays), ``encode`` (code arrays into the MADE input matrix),
+    ``forward`` (the network forward pass) and ``mask`` (zero-out and
+    product over the output blocks).  The batch runner is the only place
+    the request path is timed; the request tracer renders these keys as
+    spans under the same names.
 
-    The encoding phase is additionally split into ``translate`` (query
-    predicates into code-space arrays) and ``encode`` (code arrays into the
-    MADE input matrix), with ``encoding == translate + encode`` — the
-    request tracer renders these as separate spans.
+    The paper's two-phase split (Figures 6 and 7) is derived here, once:
+    :attr:`encoding` is ``translate + encode`` and :attr:`inference` is
+    ``forward + mask``.
     """
+
+    @property
+    def encoding(self) -> float:
+        return self["translate"] + self["encode"]
+
+    @property
+    def inference(self) -> float:
+        return self["forward"] + self["mask"]
 
 
 class DuetEstimator(CardinalityEstimator):
@@ -106,9 +116,9 @@ class DuetEstimator(CardinalityEstimator):
         def runner(queries):
             return self._run_batch(list(queries), compiled)
 
-        # Expose the plan so callers can reach through for per-stage
-        # profiling (service.enable profiling hooks) without widening the
-        # queries -> (estimates, breakdown) runner contract.
+        # Expose the plan so callers can reach through for per-stage plan
+        # profiling without widening the queries -> (estimates, breakdown)
+        # runner contract.
         runner.compiled = compiled
         return runner
 
@@ -132,24 +142,10 @@ class DuetEstimator(CardinalityEstimator):
         estimates, _ = self.estimate_batch_with_breakdown(queries)
         return estimates
 
-    def estimate_batch_timed(self, queries: Sequence[Query]
-                             ) -> tuple[np.ndarray, EstimationBreakdown]:
-        """Batched serving entry point with per-query latency metadata.
-
-        Extends the base-class contract with Duet's encoding/inference phase
-        split: the returned breakdown holds ``encoding``, ``inference``,
-        ``total`` and ``per_query`` (all seconds).
-        """
-        started = time.perf_counter()
-        estimates, breakdown = self.estimate_batch_with_breakdown(queries)
-        breakdown["total"] = time.perf_counter() - started
-        breakdown["per_query"] = breakdown["total"] / max(len(queries), 1)
-        return estimates, breakdown
-
     def estimate_batch_with_breakdown(
         self, queries: Sequence[Query], compiled: bool | None = None
     ) -> tuple[np.ndarray, EstimationBreakdown]:
-        """Estimate a batch and report the encoding/inference time split.
+        """Estimate a batch and report its per-stage :class:`EstimationBreakdown`.
 
         ``compiled`` forces a path: ``True`` uses the lowered plan (compiling
         with default options on first use), ``False`` the tape path, ``None``
@@ -168,7 +164,7 @@ class DuetEstimator(CardinalityEstimator):
         if not queries:
             return (np.zeros(0, dtype=np.float64),
                     EstimationBreakdown(translate=0.0, encode=0.0,
-                                        encoding=0.0, inference=0.0))
+                                        forward=0.0, mask=0.0))
         start = time.perf_counter()
         values, ops, masks = self.model.codec.translate_batch(queries)
         after_translate = time.perf_counter()
@@ -177,23 +173,25 @@ class DuetEstimator(CardinalityEstimator):
                 encoded = compiled.encode(values, ops)
                 after_encoding = time.perf_counter()
                 logits = compiled.logits(encoded)
+                after_forward = time.perf_counter()
                 selectivity = compiled.selectivity_from_logits(logits, masks)
-                after_inference = time.perf_counter()
+                after_mask = time.perf_counter()
         else:
             self.model.eval()
             with no_grad():
                 encoded = self.model.encode_batch(values, ops)
                 after_encoding = time.perf_counter()
                 outputs = self.model.made(encoded)
+                after_forward = time.perf_counter()
                 selectivity = self.model.selectivity_from_outputs(outputs, masks).numpy()
-                after_inference = time.perf_counter()
+                after_mask = time.perf_counter()
         selectivity = np.clip(selectivity, 0.0, 1.0)
         estimates = selectivity * self.table.num_rows
         breakdown = EstimationBreakdown(
             translate=after_translate - start,
             encode=after_encoding - after_translate,
-            encoding=after_encoding - start,
-            inference=after_inference - after_encoding,
+            forward=after_forward - after_encoding,
+            mask=after_mask - after_forward,
         )
         return estimates, breakdown
 

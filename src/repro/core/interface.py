@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import time
 from typing import Sequence
 
 import numpy as np
@@ -83,21 +82,6 @@ class CardinalityEstimator(abc.ABC):
         return np.maximum(
             np.array([self.estimate(query) for query in queries], dtype=np.float64),
             0.0)
-
-    def estimate_batch_timed(self, queries: Sequence[Query]
-                             ) -> tuple[np.ndarray, dict]:
-        """Batched serving entry point: estimates plus latency metadata.
-
-        Returns ``(estimates, breakdown)`` where ``breakdown`` carries at
-        least ``total`` (wall-clock seconds for the whole batch) and
-        ``per_query`` (mean seconds per query).  Subclasses with a phase
-        breakdown (Duet) extend the dictionary.
-        """
-        started = time.perf_counter()
-        estimates = self.estimate_batch(queries)
-        total = time.perf_counter() - started
-        return estimates, {"total": total,
-                           "per_query": total / max(len(queries), 1)}
 
     # ------------------------------------------------------------------
     def estimate_selectivity(self, query: Query) -> float:

@@ -313,8 +313,8 @@ def figure6_scalability(column_counts: tuple[int, ...] = (2, 5, 10, 15, 20),
         started = time.perf_counter()
         for query in queries:
             _, single = duet.estimator.estimate_batch_with_breakdown([query])
-            duet_breakdown["encoding"] += single["encoding"]
-            duet_breakdown["inference"] += single["inference"]
+            duet_breakdown["encoding"] += single.encoding
+            duet_breakdown["inference"] += single.inference
         latencies["duet"].append(1e3 * (time.perf_counter() - started) / len(queries))
         breakdowns["duet"].append({key: 1e3 * value / len(queries)
                                    for key, value in duet_breakdown.items()})
@@ -460,8 +460,8 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
             chunk_estimates, breakdown = (
                 runner_estimator.estimate_batch_with_breakdown(
                     chunk, compiled=compiled))
-            encoding += breakdown["encoding"]
-            inference += breakdown["inference"]
+            encoding += breakdown.encoding
+            inference += breakdown.inference
             estimates.append(chunk_estimates)
         return time.perf_counter() - started, encoding, inference, estimates
 

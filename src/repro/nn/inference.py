@@ -187,17 +187,9 @@ class ForwardPlan:
     # ------------------------------------------------------------------
     # Per-stage profiling
     # ------------------------------------------------------------------
-    @property
-    def profiling(self) -> bool:
-        return self._profile
-
     def enable_profiling(self, enabled: bool = True) -> None:
         """Toggle per-stage wall-time/invocation accounting on ``run``."""
         self._profile = enabled
-
-    def reset_profile(self) -> None:
-        self.stage_seconds = [0.0] * len(self.stages)
-        self.stage_calls = [0] * len(self.stages)
 
     def profile_report(self) -> list[dict]:
         """Accumulated per-stage cost, in execution order.

@@ -5,17 +5,19 @@ A :class:`Tracer` decides per request whether to record a trace
 float compare — no allocation, no lock.  A sampled request carries a
 :class:`Trace` through the service: the cache probe, the micro-batch
 hand-off, and the per-stage breakdown of the forward pass that served it
-(translate / encode / forward) become :class:`Span` nodes of one tree.
-Finished traces feed a bounded slowest-N reservoir, so "show me the worst
-requests and where they spent their time" is one
-:meth:`Tracer.slowest` call on a live service.
+become :class:`Span` nodes of one tree.  Finished traces feed a bounded
+slowest-N reservoir, so "show me the worst requests and where they spent
+their time" is one :meth:`Tracer.slowest` call on a live service.
 
 Spans inside a micro-batch are *attributed*: the batch runner measures
 each stage once per forward pass and every traced request of that batch
 receives the same durations (stages are shared work — that is the point
-of batching).  Stage durations therefore sum to the pass cost, and the
-gap to the enclosing ``batch`` span is the time the request spent queued
-behind the batcher (materialised as a ``wait`` span).
+of batching).  Spans are named after the runner's breakdown keys — for
+Duet the :class:`~repro.core.EstimationBreakdown` stages ``translate``,
+``encode``, ``forward`` and ``mask`` — so stage durations sum to the pass
+cost, and the gap to the enclosing ``batch`` span is the time the request
+spent queued behind the batcher (materialised as a ``wait`` span).  A
+runner that returns no breakdown leaves the ``batch`` span flat.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ import threading
 import time
 
 __all__ = ["Span", "Trace", "Tracer"]
-
-#: breakdown keys of the batch runner, in execution order, with the span
-#: name each is recorded under (``inference`` covers the network forward
-#: pass plus the fused zero-out, so the span is called ``forward``)
-_STAGE_SPANS = (("translate", "translate"), ("encode", "encode"),
-                ("inference", "forward"))
 
 
 class Span:
@@ -115,24 +111,14 @@ class Trace:
         breakdown = self._breakdown
         if not breakdown:
             return batch
+        # Time queued behind the batcher before the runner's stages ran.
+        wait = duration - sum(breakdown.values())
         offset = batch.start
-        staged = 0.0
-        for key, span_name in _STAGE_SPANS:
-            stage_seconds = breakdown.get(key)
-            if stage_seconds is None:
-                continue
-            staged += stage_seconds
-        # Time queued behind the batcher (and any stage the runner did not
-        # meter) before the metered stages ran.
-        wait = duration - staged
         if wait > 0:
             batch.child("wait", offset, wait)
             offset += wait
-        for key, span_name in _STAGE_SPANS:
-            stage_seconds = breakdown.get(key)
-            if stage_seconds is None:
-                continue
-            batch.child(span_name, offset, stage_seconds)
+        for name, stage_seconds in breakdown.items():
+            batch.child(name, offset, stage_seconds)
             offset += stage_seconds
         return batch
 

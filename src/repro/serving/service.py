@@ -138,7 +138,9 @@ class EstimationService:
             tape_factory = getattr(estimator, "tape_batch_runner", None)
             if tape_factory is not None:
                 return tape_factory()
-        return estimator.estimate_batch_timed
+        # Other estimators have no stage breakdown; the trace's batch span
+        # stays flat rather than booking the pass as queue wait.
+        return lambda queries: (estimator.estimate_batch(queries), None)
 
     def _plan_buffer_bytes(self) -> int:
         compiled = getattr(self._timed_runner, "compiled", None)
@@ -147,8 +149,12 @@ class EstimationService:
     def profile_report(self) -> dict | None:
         """Per-stage attribution of the serving plan's time.
 
-        ``None`` when the service runs uncompiled; all-zero counters until
-        ``ObsConfig.profile_plan_stages`` enables the hooks.
+        ``{"made_stages": [...]}`` (plus ``"mpsn_stages"`` when the model
+        has a merged MPSN), one entry per plan stage.  ``None`` when the
+        service runs uncompiled; all-zero counters until
+        ``ObsConfig.profile_plan_stages`` enables the hooks.  The per-batch
+        translate/encode/forward/mask split lives in the batch runner's
+        :class:`~repro.core.EstimationBreakdown`, not here.
         """
         compiled = getattr(self._timed_runner, "compiled", None)
         return compiled.profile_report() if compiled is not None else None

@@ -230,10 +230,21 @@ class TestDuetEstimator:
     def test_breakdown_reports_phases(self, trained_model, toy_table):
         estimator = DuetEstimator(trained_model)
         workload = make_random_workload(toy_table, num_queries=10, seed=4)
-        estimates, breakdown = estimator.estimate_batch_with_breakdown(workload.queries)
-        assert estimates.shape == (10,)
-        assert breakdown["encoding"] >= 0
-        assert breakdown["inference"] >= 0
+        stages = ["translate", "encode", "forward", "mask"]
+        for compiled in (False, True):
+            estimates, breakdown = estimator.estimate_batch_with_breakdown(
+                workload.queries, compiled=compiled)
+            assert estimates.shape == (10,)
+            # One stage-name list, in execution order, on both paths.
+            assert list(breakdown) == stages
+            assert all(seconds >= 0 for seconds in breakdown.values())
+            # The paper's two-phase split is derived from the four stages.
+            assert breakdown.encoding == breakdown["translate"] + breakdown["encode"]
+            assert breakdown.inference == breakdown["forward"] + breakdown["mask"]
+            empty_estimates, empty = estimator.estimate_batch_with_breakdown(
+                [], compiled=compiled)
+            assert empty_estimates.shape == (0,)
+            assert list(empty.items()) == [(stage, 0.0) for stage in stages]
 
     def test_trained_model_beats_untrained_on_qerror(self, toy_table, small_config,
                                                      trained_model):
