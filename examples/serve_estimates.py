@@ -5,13 +5,13 @@ Run with::
     python examples/serve_estimates.py
 
 The script trains Duet on the synthetic Census stand-in, persists the model
-through the :class:`~repro.serving.ModelRegistry` (together with the compile
-options the service should serve it with), restarts an estimator from the
-registry alone (no training state, no data tuples), and drives the
+through the :class:`~repro.serving.ModelRegistry`, restarts an estimator
+from the registry alone (no training state, no data tuples), and drives the
 :class:`~repro.serving.EstimationService` with a concurrent load test in
-four configurations: naive one-query-per-tape-pass, micro-batched on the
-tape, micro-batched through the compiled float32 plan, and compiled with
-the estimate cache on top.
+four configurations, each serving through the one compiled plan the service
+builds at its ``inference_dtype``: naive one-query-per-pass and
+micro-batched in float64, micro-batched in float32, and float32 with the
+estimate cache on top.
 
 The final configuration runs with request tracing sampled at 100% and plan
 profiling on, and the script exits by dumping the service's Prometheus-style
@@ -41,22 +41,21 @@ def main() -> None:
                          epochs=3)
 
     # 2. Register: persist parameters + config + schema under (dataset,
-    #    version), plus the plan options serving should compile with.
+    #    version).
     registry = ModelRegistry(tempfile.mkdtemp(prefix="duet-registry-"))
     entry = registry.save(trained.model, dataset="census",
-                          metadata={"trained_on": f"{table.num_rows} rows"},
-                          compile_options=PlanOptions(dtype="float32"))
+                          metadata={"trained_on": f"{table.num_rows} rows"})
     print(f"registered {entry.dataset}/{entry.version} "
           f"({entry.num_parameters} parameters) under {registry.root}")
 
     # 3. Reload: the registry alone is enough to serve (schema + config +
-    #    weights + compile options — the estimator comes back compiled).
+    #    weights).  Offline, timed_batch_runner gives a plan at any dtype.
     reloaded = registry.load_estimator("census")
-    print(f"reloaded estimator is compiled: {reloaded.compiled} "
-          f"({reloaded.compile_options})")
     held_out = make_random_workload(table, num_queries=200, seed=99)
     original = trained.estimator.estimate_batch(held_out.queries)
-    served = reloaded.estimate_batch(held_out.queries)
+    print(f"reloaded estimator matches the original bit-for-bit: "
+          f"{np.array_equal(reloaded.estimate_batch(held_out.queries), original)}")
+    served, _ = reloaded.timed_batch_runner(PlanOptions("float32"))(held_out.queries)
     worst = float(np.max(np.abs(served - original) / np.maximum(original, 1.0)))
     print(f"float32 plan matches the float64 tape within {worst:.2e} relative")
 
@@ -67,13 +66,12 @@ def main() -> None:
                        profile_plan_stages=True)
     reports = []
     modes = [
-        ("naive", ServingConfig(micro_batching=False, cache_capacity=0,
-                                compiled=False)),
-        ("micro-batched", ServingConfig(cache_capacity=0, compiled=False)),
-        ("batched+compiled", ServingConfig(cache_capacity=0,
-                                           inference_dtype="float32")),
-        ("compiled+cache", ServingConfig(inference_dtype="float32",
-                                         obs=traced)),
+        ("naive", ServingConfig(micro_batching=False, cache_capacity=0)),
+        ("micro-batched", ServingConfig(cache_capacity=0)),
+        ("batched+float32", ServingConfig(cache_capacity=0,
+                                          inference_dtype="float32")),
+        ("float32+cache", ServingConfig(inference_dtype="float32",
+                                        obs=traced)),
     ]
     last_service = None
     for mode, config in modes:
@@ -86,7 +84,7 @@ def main() -> None:
     print(format_serving_table(reports, title="serving throughput (8 threads)"))
     print(f"\nmicro-batching speedup over naive: "
           f"{reports[1].qps / reports[0].qps:.2f}x; "
-          f"compiled: {reports[2].qps / reports[0].qps:.2f}x; "
+          f"float32: {reports[2].qps / reports[0].qps:.2f}x; "
           f"with cache: {reports[3].qps / reports[0].qps:.2f}x")
 
     # 5. Observability: the traced run's metrics and worst span trees.

@@ -14,14 +14,11 @@ MSCN trick that keeps the regression target in ``[0, 1]``.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
-from ..nn.inference import stable_sigmoid
 from ..data.table import Table
 from ..workload.query import Query
 from ..workload.workload import Workload
@@ -73,25 +70,6 @@ class MSCNEstimator(CardinalityEstimator):
         self.network = _MSCNNetwork(self.feature_width, hidden_size, rng=self._rng)
         self._log_scale = float(np.log(table.num_rows + 1.0))
         self.training_losses: list[float] = []
-        self._predicate_plan: nn.ForwardPlan | None = None
-        self._output_plan: nn.ForwardPlan | None = None
-        self._plan_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Compiled inference
-    # ------------------------------------------------------------------
-    def compile(self, options: "nn.PlanOptions | None" = None) -> "MSCNEstimator":
-        """Lower both MLPs into grad-free plans for batched estimation.
-
-        Weights are snapshotted; recompile after further training.
-        """
-        self._predicate_plan = nn.lower_module(self.network.predicate_mlp, options)
-        self._output_plan = nn.lower_module(self.network.output_mlp, options)
-        return self
-
-    @property
-    def compiled(self) -> bool:
-        return self._predicate_plan is not None
 
     # ------------------------------------------------------------------
     def featurize(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray]:
@@ -146,20 +124,8 @@ class MSCNEstimator(CardinalityEstimator):
     def estimate_batch(self, queries) -> np.ndarray:
         queries = list(queries)
         features, presence = self.featurize(queries)
-        if self._predicate_plan is not None:
-            batch, slots, width = features.shape
-            with self._plan_lock:  # plan buffers are shared across calls
-                embedded = self._predicate_plan.run(features.reshape(batch * slots,
-                                                                     width))
-                embedded = embedded.reshape(batch, slots, -1)
-                counts = np.maximum(presence.sum(axis=1, keepdims=True), 1.0)
-                pooled = np.einsum("bsw,bs->bw", embedded, presence) / counts
-                prediction = stable_sigmoid(
-                    np.asarray(self._output_plan.run(pooled),
-                               dtype=np.float64)).reshape(-1)
-        else:
-            with nn.no_grad():
-                prediction = self.network(Tensor(features), presence).numpy().reshape(-1)
+        with nn.no_grad():
+            prediction = self.network(Tensor(features), presence).numpy().reshape(-1)
         cardinalities = np.exp(prediction * self._log_scale) - 1.0
         return np.clip(cardinalities, 0.0, self.table.num_rows)
 

@@ -15,7 +15,6 @@ meaningful.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
-from ..nn.inference import stable_softmax
 from ..data.table import Table
 from ..workload.query import Query
 from .base import CardinalityEstimator
@@ -106,26 +104,6 @@ class NaruEstimator(CardinalityEstimator):
         self._codes = table.code_matrix()
         self.optimizer = nn.Adam(self.model.parameters(), lr=learning_rate)
         self.training_losses: list[float] = []
-        self._plan: nn.ForwardPlan | None = None
-        self._plan_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Compiled inference
-    # ------------------------------------------------------------------
-    def compile(self, options: "nn.PlanOptions | None" = None) -> "NaruEstimator":
-        """Lower the MADE into a grad-free plan for progressive sampling.
-
-        Every constrained column costs one forward pass over all sample
-        paths, so the plan's folded masks and reusable buffers pay off
-        ``n``-fold per query.  Weights are snapshotted; recompile after
-        further training.
-        """
-        self._plan = nn.lower_module(self.model.made, options)
-        return self
-
-    @property
-    def compiled(self) -> bool:
-        return self._plan is not None
 
     # ------------------------------------------------------------------
     # Training (maximum likelihood on tuples, with wildcard dropout)
@@ -194,23 +172,14 @@ class NaruEstimator(CardinalityEstimator):
 
         sample_codes = np.full((self.num_samples, self.table.num_columns), -1, dtype=np.int64)
         probabilities = np.ones(self.num_samples)
-        block_slices = self.model.made.output_block_slices()
         with nn.no_grad():
             for column_index in range(self.table.num_columns):
                 if column_index not in masks:
                     continue  # wildcard skipping: unconstrained columns are skipped
                 start = time.perf_counter()
-                if self._plan is not None:
-                    # Plan buffers are shared; serialise concurrent callers.
-                    with self._plan_lock:
-                        outputs = self._plan.run(self.model.encode(sample_codes))
-                        begin, end = block_slices[column_index]
-                        distribution = np.asarray(
-                            stable_softmax(outputs[:, begin:end]), dtype=np.float64)
-                else:
-                    outputs = self.model.forward(sample_codes)
-                    logits = self.model.column_logits(outputs, column_index)
-                    distribution = F.softmax(logits, axis=-1).numpy()
+                outputs = self.model.forward(sample_codes)
+                logits = self.model.column_logits(outputs, column_index)
+                distribution = F.softmax(logits, axis=-1).numpy()
                 timings["inference"] += time.perf_counter() - start
 
                 start = time.perf_counter()

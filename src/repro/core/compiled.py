@@ -14,8 +14,10 @@ into pure-array form:
   masked probability mass straight from the logits, unconstrained columns
   are skipped entirely.
 
-Weights are copied at compile time: training the model afterwards does not
-change a plan — call :meth:`repro.core.DuetEstimator.compile` again.
+Weights are copied when the plan is built: training the model afterwards
+does not change a plan — build a new one with
+:meth:`repro.core.DuetEstimator.timed_batch_runner` (the serving layer does
+so on every start and model swap).
 
 Plans reuse buffers across calls and are therefore not thread-safe; the
 public entry points serialise on :attr:`CompiledDuetModel.lock` (the serving
@@ -216,10 +218,3 @@ class CompiledDuetModel:
         """Fused zero-out product; returns a fresh ``(batch,)`` float64 array."""
         mass = masked_block_mass(logits, self.blocks, masks)
         return np.asarray(mass, dtype=np.float64)
-
-    def selectivities(self, values: np.ndarray, ops: np.ndarray,
-                      masks: list[np.ndarray | None]) -> np.ndarray:
-        """End-to-end compiled Algorithm 3 (thread-safe convenience)."""
-        with self.lock:
-            encoded = self.encode(values, ops)
-            return self.selectivity_from_logits(self.logits(encoded), masks)

@@ -22,7 +22,6 @@ class MPSNConfig:
     kind: str = "mlp"
     hidden_size: int = 64
     num_layers: int = 2
-    merged: bool = True  # merged block-diagonal acceleration for the MLP kind
 
     def __post_init__(self) -> None:
         if self.kind not in _VALID_MPSN_KINDS:
@@ -155,22 +154,17 @@ class ServingConfig:
         Number of most-recent request latencies retained for the p50/p90/p99
         statistics; older samples are discarded so a long-running service
         reports a moving window rather than its full history.
-    compiled:
-        When true (the default), the service lowers the estimator's model
-        into a grad-free :class:`~repro.nn.ForwardPlan` (masks folded, fused
-        masked selectivity, preallocated buffers reused across micro-batches)
-        and runs every forward pass through it.  The estimator object itself
-        is left untouched, so its tape path remains available as the
-        equivalence oracle.  Estimators without a compiled form fall back to
-        their ordinary batched path.
     inference_dtype:
-        Arithmetic precision of the compiled serving plan: ``"float64"``
-        (matches the tape path to ~1e-15 relative) or ``"float32"`` (half
-        the memory traffic; agrees to ~1e-5 relative — far below the
-        model's own estimation error).  ``None`` (the default) defers to
-        the estimator's own compile options — e.g. the dtype persisted in
-        the model registry — falling back to ``"float64"`` when the
-        estimator carries none.
+        Arithmetic precision of the serving plan: ``"float64"`` (the
+        default; matches the tape path to ~1e-15 relative) or ``"float32"``
+        (half the memory traffic; agrees to ~1e-5 relative — far below the
+        model's own estimation error).  The service lowers a Duet model into
+        exactly one grad-free :class:`~repro.nn.ForwardPlan` at this
+        precision (masks folded, fused masked selectivity, preallocated
+        buffers reused across micro-batches) on start and on every model
+        swap, and runs every forward pass through it; the estimator's tape
+        path is left as the equivalence oracle.  Estimators without a
+        compiled form run their ordinary batched path.
     refresh_epochs:
         Fine-tuning epochs one ``EstimationService.refresh()`` runs over the
         appended rows (plus replay) before hot-swapping the model.
@@ -187,8 +181,7 @@ class ServingConfig:
     max_batch_size: int = 64
     cache_capacity: int = 8192
     latency_window: int = 65536
-    compiled: bool = True
-    inference_dtype: str | None = None
+    inference_dtype: str = "float64"
     refresh_epochs: int = 1
     replay_fraction: float = 0.25
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -200,9 +193,8 @@ class ServingConfig:
             raise ValueError("cache_capacity must be non-negative")
         if self.latency_window <= 0:
             raise ValueError("latency_window must be positive")
-        if self.inference_dtype not in (None, "float32", "float64"):
-            raise ValueError("inference_dtype must be 'float32', 'float64', "
-                             "or None (defer to the estimator's options)")
+        if self.inference_dtype not in ("float32", "float64"):
+            raise ValueError("inference_dtype must be 'float32' or 'float64'")
         if self.refresh_epochs <= 0:
             raise ValueError("refresh_epochs must be positive")
         if self.replay_fraction < 0:

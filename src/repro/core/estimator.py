@@ -2,12 +2,15 @@
 
 Two execution paths share the same query translation and zero-out masks:
 
-* the **tape path** runs through the autograd :class:`~repro.nn.Tensor`
-  graph — differentiable, used for training and as the equivalence oracle;
-* the **compiled path** (:meth:`DuetEstimator.compile`) runs a lowered
-  :class:`~repro.core.compiled.CompiledDuetModel` — masks folded, buffers
-  reused, fused masked selectivity, optional ``float32`` — and is the one
-  the serving layer drives.
+* the **tape path** (:meth:`DuetEstimator.estimate_batch_with_breakdown`)
+  runs through the autograd :class:`~repro.nn.Tensor` graph —
+  differentiable, used for training, the Fig. 6 phase split and as the
+  equivalence oracle;
+* the **compiled path** (:meth:`DuetEstimator.timed_batch_runner`) runs a
+  freshly lowered :class:`~repro.core.compiled.CompiledDuetModel` — masks
+  folded, buffers reused, fused masked selectivity, optional ``float32`` —
+  and is the one the serving layer drives.  It is the only way to get a
+  plan.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ class DuetEstimator(CardinalityEstimator):
     def __init__(self, model: DuetModel) -> None:
         super().__init__(model.table)
         self.model = model
-        self._compiled: CompiledDuetModel | None = None
-        self._use_compiled = False
         #: registry version this estimator was loaded from (set by
         #: ModelRegistry.load_estimator; None for ad-hoc estimators)
         self.model_version: str | None = None
@@ -67,51 +68,19 @@ class DuetEstimator(CardinalityEstimator):
         #: from a Snapshot table when available, else set by the registry
         self.data_version: int | None = getattr(model.table, "data_version", None)
 
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def compile(self, options: PlanOptions | None = None) -> "DuetEstimator":
-        """Lower the model into a grad-free plan and make it the default path.
-
-        Weights are snapshotted at compile time — call ``compile()`` again
-        after further training to refresh the plan.  Returns ``self`` so
-        ``DuetEstimator(model).compile()`` reads naturally.
-        """
-        self._compiled = CompiledDuetModel(self.model, options)
-        self._use_compiled = True
-        return self
-
-    @property
-    def compiled(self) -> bool:
-        """Whether estimates run through the compiled plan by default."""
-        return self._use_compiled and self._compiled is not None
-
-    @property
-    def compile_options(self) -> PlanOptions | None:
-        """Options of the active compiled plan (``None`` when uncompiled).
-
-        Guarded by :attr:`compiled`, not just plan presence: an explicit
-        ``estimate_batch_with_breakdown(..., compiled=True)`` caches a plan
-        without flipping the default path, and must not make this estimator
-        look compiled to callers that persist or branch on the options.
-        """
-        return self._compiled.options if self.compiled else None
-
     def timed_batch_runner(self, options: PlanOptions | None = None
                            ) -> Callable[[Sequence[Query]],
                                          tuple[np.ndarray, EstimationBreakdown]]:
         """A compiled ``queries -> (estimates, breakdown)`` runner.
 
-        Reuses this estimator's existing plan when its options match (plans
-        serialise on their own lock, so sharing is safe); otherwise builds a
-        private plan — either way the estimator's own default path is not
-        flipped, so the tape stays available as the equivalence oracle.
+        Builds one fresh plan from the current weights (a snapshot: training
+        afterwards does not change it; build a new runner to pick the new
+        weights up).  The runner translates queries and scales selectivities
+        with the model its plan was built from, so a runner still in flight
+        when the estimator's model is swapped keeps answering for its own
+        model.  The estimator's tape path is left as it is.
         """
-        options = options or PlanOptions()
-        if self._compiled is not None and self._compiled.options == options:
-            compiled = self._compiled
-        else:
-            compiled = CompiledDuetModel(self.model, options)
+        compiled = CompiledDuetModel(self.model, options)
 
         def runner(queries):
             return self._run_batch(list(queries), compiled)
@@ -121,16 +90,6 @@ class DuetEstimator(CardinalityEstimator):
         # runner contract.
         runner.compiled = compiled
         return runner
-
-    def tape_batch_runner(self) -> Callable[[Sequence[Query]],
-                                            tuple[np.ndarray, EstimationBreakdown]]:
-        """A ``queries -> (estimates, breakdown)`` runner pinned to the tape.
-
-        For callers (``ServingConfig(compiled=False)``) that need the
-        autograd path regardless of how this estimator was compiled — e.g.
-        bit-exact reproducibility with an uncompiled reference.
-        """
-        return lambda queries: self._run_batch(list(queries), None)
 
     # ------------------------------------------------------------------
     # Estimation
@@ -143,30 +102,23 @@ class DuetEstimator(CardinalityEstimator):
         return estimates
 
     def estimate_batch_with_breakdown(
-        self, queries: Sequence[Query], compiled: bool | None = None
+        self, queries: Sequence[Query]
     ) -> tuple[np.ndarray, EstimationBreakdown]:
-        """Estimate a batch and report its per-stage :class:`EstimationBreakdown`.
-
-        ``compiled`` forces a path: ``True`` uses the lowered plan (compiling
-        with default options on first use), ``False`` the tape path, ``None``
-        (default) whatever :meth:`compile` selected.
-        """
-        queries = list(queries)
-        use_compiled = self.compiled if compiled is None else compiled
-        if use_compiled and self._compiled is None:
-            self._compiled = CompiledDuetModel(self.model)
-        plan = self._compiled if use_compiled else None
-        return self._run_batch(queries, plan)
+        """Estimate a batch on the tape and report its :class:`EstimationBreakdown`."""
+        return self._run_batch(list(queries), None)
 
     def _run_batch(self, queries: list[Query],
                    compiled: CompiledDuetModel | None
                    ) -> tuple[np.ndarray, EstimationBreakdown]:
+        # A plan answers for the model it was built from, whatever
+        # self.model has been swapped to since.
+        model = compiled.model if compiled is not None else self.model
         if not queries:
             return (np.zeros(0, dtype=np.float64),
                     EstimationBreakdown(translate=0.0, encode=0.0,
                                         forward=0.0, mask=0.0))
         start = time.perf_counter()
-        values, ops, masks = self.model.codec.translate_batch(queries)
+        values, ops, masks = model.codec.translate_batch(queries)
         after_translate = time.perf_counter()
         if compiled is not None:
             with compiled.lock:
@@ -177,16 +129,16 @@ class DuetEstimator(CardinalityEstimator):
                 selectivity = compiled.selectivity_from_logits(logits, masks)
                 after_mask = time.perf_counter()
         else:
-            self.model.eval()
+            model.eval()
             with no_grad():
-                encoded = self.model.encode_batch(values, ops)
+                encoded = model.encode_batch(values, ops)
                 after_encoding = time.perf_counter()
-                outputs = self.model.made(encoded)
+                outputs = model.made(encoded)
                 after_forward = time.perf_counter()
-                selectivity = self.model.selectivity_from_outputs(outputs, masks).numpy()
+                selectivity = model.selectivity_from_outputs(outputs, masks).numpy()
                 after_mask = time.perf_counter()
         selectivity = np.clip(selectivity, 0.0, 1.0)
-        estimates = selectivity * self.table.num_rows
+        estimates = selectivity * model.table.num_rows
         breakdown = EstimationBreakdown(
             translate=after_translate - start,
             encode=after_encoding - after_translate,

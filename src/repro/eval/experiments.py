@@ -448,30 +448,27 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
     workload = make_random_workload(table, num_queries=num_queries, seed=3)
     chunks = [workload.queries[index:index + batch_size]
               for index in range(0, num_queries, batch_size)]
-    model = DuetModel(table, config)
-    estimator = DuetEstimator(model)
-    estimator_float32 = DuetEstimator(model).compile(PlanOptions(dtype="float32"))
+    estimator = DuetEstimator(DuetModel(table, config))
 
-    def sweep(runner_estimator, compiled):
+    def sweep(runner):
         encoding = inference = 0.0
         estimates = []
         started = time.perf_counter()
         for chunk in chunks:
-            chunk_estimates, breakdown = (
-                runner_estimator.estimate_batch_with_breakdown(
-                    chunk, compiled=compiled))
+            chunk_estimates, breakdown = runner(chunk)
             encoding += breakdown.encoding
             inference += breakdown.inference
             estimates.append(chunk_estimates)
         return time.perf_counter() - started, encoding, inference, estimates
 
-    paths = [("tape", estimator, False),
-             ("compiled-float64", estimator, True),
-             ("compiled-float32", estimator_float32, None)]
+    paths = [("tape", estimator.estimate_batch_with_breakdown),
+             ("compiled-float64", estimator.timed_batch_runner(PlanOptions())),
+             ("compiled-float32",
+              estimator.timed_batch_runner(PlanOptions("float32")))]
     all_estimates: dict[str, np.ndarray] = {}
     best: dict[str, tuple] = {}
-    for name, runner, compiled in paths:  # warm-up: buffers, caches, estimates
-        all_estimates[name] = np.concatenate(sweep(runner, compiled)[3])
+    for name, runner in paths:  # warm-up: buffers, caches, estimates
+        all_estimates[name] = np.concatenate(sweep(runner)[3])
     # Pause the cyclic GC during the timed windows (the tape path builds
     # large cyclic Tensor graphs, so collection frequency — a function of
     # whatever else the process did before — would otherwise leak into the
@@ -482,8 +479,8 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
     gc.disable()
     try:
         for _ in range(repeats):
-            for name, runner, compiled in paths:
-                run = sweep(runner, compiled)
+            for name, runner in paths:
+                run = sweep(runner)
                 if name not in best or run[0] < best[name][0]:
                     best[name] = run[:3]
     finally:
@@ -508,7 +505,7 @@ def compiled_inference_cost(dataset: str = "dmv", batch_size: int = 8,
 
     return CompiledInferenceResult(
         dataset=dataset, batch_size=batch_size, num_queries=num_queries,
-        paths={name: metrics(name) for name, _, _ in paths},
+        paths={name: metrics(name) for name, _ in paths},
         max_rel_error_float64=max_rel_error("compiled-float64"),
         max_rel_error_float32=max_rel_error("compiled-float32"))
 

@@ -101,8 +101,6 @@ def cold_train_and_swap(service, *, epochs: int | None = None,
                 model, service.dataset, version=version,
                 metadata={"cold_trained": True,
                           "escalated_from": service.model_version},
-                compile_options=getattr(service.estimator, "compile_options",
-                                        None),
                 data_version=snapshot.data_version)
         try:
             service.swap_model(model, data_version=snapshot.data_version,

@@ -6,7 +6,7 @@ networks, losses, and optimisers that the paper's models require.
 """
 
 from . import functional, inference, init
-from .inference import ForwardPlan, PlanOptions, StageSpec, lower_module, masked_block_mass
+from .inference import ForwardPlan, PlanOptions, StageSpec, masked_block_mass
 from .layers import (
     LSTM,
     Embedding,
@@ -35,7 +35,6 @@ __all__ = [
     "ForwardPlan",
     "PlanOptions",
     "StageSpec",
-    "lower_module",
     "masked_block_mass",
     "Module",
     "Linear",

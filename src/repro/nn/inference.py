@@ -5,9 +5,12 @@ training, but a serving hot path pays for it on every request: per-operator
 Python dispatch, graph-bookkeeping closures, fresh ``float64`` temporaries,
 and (for MADE) an ``in x out`` mask multiplication re-materialised on every
 forward.  This module lowers a trained network *once* into a
-:class:`ForwardPlan` — a flat list of fused linear(+activation) stages whose
+:class:`ForwardPlan` — built as ``ForwardPlan(module.export_stage_specs())``
+from any module that exports stage specs (``Linear``/``MaskedLinear``,
+``Sequential`` chains of linear layers and activations, ``MADE``) — a flat
+list of fused linear(+activation) stages whose
 
-* MADE masks are folded into the weight matrices at compile time
+* MADE masks are folded into the weight matrices when the plan is built
   (``W_folded = W * mask``),
 * output buffers are preallocated and reused across micro-batches
   (``np.dot(..., out=...)`` writes straight into them), and
@@ -37,9 +40,7 @@ __all__ = [
     "StageSpec",
     "ForwardPlan",
     "masked_block_mass",
-    "stable_softmax",
     "stable_sigmoid",
-    "lower_module",
 ]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -69,7 +70,7 @@ class PlanOptions:
     def numpy_dtype(self) -> type:
         return _DTYPES[self.dtype]
 
-    # -- registry persistence -------------------------------------------
+    # -- dict round trip -------------------------------------------------
     def to_dict(self) -> dict:
         return {"dtype": self.dtype}
 
@@ -297,14 +298,6 @@ def masked_block_mass(logits: np.ndarray,
     return numerator.prod(axis=1)
 
 
-def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Plain-NumPy stable softmax (compiled counterpart of ``F.softmax``)."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
-    return shifted
-
-
 def stable_sigmoid(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Plain-NumPy clipped sigmoid matching ``Tensor.sigmoid``.
 
@@ -316,21 +309,3 @@ def stable_sigmoid(values: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     out += 1.0
     np.reciprocal(out, out=out)
     return out
-
-
-# ----------------------------------------------------------------------
-# Lowering
-# ----------------------------------------------------------------------
-
-def lower_module(module, options: PlanOptions | None = None) -> ForwardPlan:
-    """Lower a module that provides ``export_stage_specs`` into a plan.
-
-    ``Linear``/``MaskedLinear``, ``Sequential`` chains of linear layers and
-    activations, and ``MADE`` all export stage specs (masks folded, residual
-    links resolved); anything else raises ``TypeError``.
-    """
-    export = getattr(module, "export_stage_specs", None)
-    if export is None:
-        raise TypeError(f"{type(module).__name__} cannot be lowered: "
-                        f"it does not export stage specs")
-    return ForwardPlan(export(), options)

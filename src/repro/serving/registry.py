@@ -33,7 +33,6 @@ from ..core.estimator import DuetEstimator
 from ..core.model import DuetModel
 from ..data.column import Column
 from ..data.table import Table
-from ..nn import PlanOptions
 from ..nn.serialization import load_module, npz_path, save_module
 
 __all__ = ["TableSchema", "SchemaTable", "RegistryEntry", "ModelRegistry",
@@ -201,7 +200,10 @@ def _config_to_dict(config: DuetConfig) -> dict:
 def _config_from_dict(payload: dict) -> DuetConfig:
     payload = dict(payload)
     payload["hidden_sizes"] = tuple(payload["hidden_sizes"])
-    payload["mpsn"] = MPSNConfig(**payload["mpsn"])
+    mpsn = dict(payload["mpsn"])
+    # Entries saved before MPSNConfig.merged was removed still carry it.
+    mpsn.pop("merged", None)
+    payload["mpsn"] = MPSNConfig(**mpsn)
     return DuetConfig(**payload)
 
 
@@ -251,16 +253,13 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def save(self, model: DuetModel, dataset: str, version: str | None = None,
              metadata: dict | None = None,
-             compile_options: PlanOptions | None = None,
              data_version: int | None = None) -> RegistryEntry:
         """Persist ``model`` under ``(dataset, version)`` and index it.
 
         ``version`` defaults to the next ``v<N>`` after the dataset's
-        current versions.  Saving an existing version overwrites it.
-        ``compile_options`` records how the model should be lowered for
-        serving; :meth:`load_estimator` rebuilds the compiled plan from
-        them, so a reloaded estimator serves through the same fast path
-        (and dtype) the model was registered with.  ``data_version`` pins
+        current versions.  Saving an existing version overwrites it.  How
+        the model is served (the plan's dtype) is the serving config's
+        business, not the registry's.  ``data_version`` pins
         the store version the model was trained on (defaulting to the
         model table's own ``data_version`` when it is a
         :class:`~repro.data.Snapshot`); the serving layer compares it
@@ -280,8 +279,6 @@ class ModelRegistry:
             model_metadata = {"config": _config_to_dict(model.config),
                               "dataset": dataset, "version": version,
                               "data_version": data_version}
-            if compile_options is not None:
-                model_metadata["compile_options"] = compile_options.to_dict()
             save_module(model, directory / _MODEL_FILE, metadata=model_metadata)
             TableSchema.from_table(model.table).save(directory / _SCHEMA_FILE)
             # Checkpoint files are on disk; a crash between here and the
@@ -537,43 +534,26 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     # Load
     # ------------------------------------------------------------------
-    def _load_entry(self, entry: RegistryEntry) -> tuple[DuetModel, dict]:
-        """Rebuild the saved model of ``entry``; returns ``(model, metadata)``."""
+    def _load_entry(self, entry: RegistryEntry) -> DuetModel:
+        """Rebuild the saved model of ``entry``."""
         schema = TableSchema.load(entry.schema_path)
         table = schema.to_table()
         metadata = load_metadata(entry.model_path)
         model = DuetModel(table, _config_from_dict(metadata["config"]))
         load_module(model, entry.model_path)
         model.eval()
-        return model, metadata
+        return model
 
     def load_model(self, dataset: str, version: str | None = None) -> DuetModel:
         """Rebuild the saved model (schema table + config + parameters)."""
-        model, _ = self._load_entry(self.entry(dataset, version))
-        return model
-
-    def compile_options(self, dataset: str, version: str | None = None
-                        ) -> PlanOptions | None:
-        """The persisted plan options of ``(dataset, version)``, if any."""
-        entry = self.entry(dataset, version)
-        payload = load_metadata(entry.model_path).get("compile_options")
-        return None if payload is None else PlanOptions.from_dict(payload)
+        return self._load_entry(self.entry(dataset, version))
 
     def load_estimator(self, dataset: str, version: str | None = None) -> DuetEstimator:
-        """Rebuild a ready-to-serve estimator for ``(dataset, version)``.
-
-        When the entry was saved with ``compile_options`` the estimator
-        comes back compiled — plans rebuilt from the persisted options, the
-        lowered path active by default.
-        """
+        """Rebuild a ready-to-serve estimator for ``(dataset, version)``."""
         entry = self.entry(dataset, version)
-        model, metadata = self._load_entry(entry)
-        estimator = DuetEstimator(model)
+        estimator = DuetEstimator(self._load_entry(entry))
         estimator.model_version = entry.version
         estimator.data_version = entry.data_version
-        payload = metadata.get("compile_options")
-        if payload is not None:
-            estimator.compile(PlanOptions.from_dict(payload))
         return estimator
 
     # ------------------------------------------------------------------

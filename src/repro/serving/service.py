@@ -91,7 +91,7 @@ class EstimationService:
                            fn=lambda: len(self.cache))
         self.metrics.gauge("repro_plan_buffer_bytes",
                            "Reusable buffer footprint of the serving plan "
-                           "(0 when uncompiled).",
+                           "(0 for estimators without one).",
                            fn=self._plan_buffer_bytes)
         self._timed_runner = self._build_runner()
         self._refresh_lock = threading.Lock()
@@ -107,40 +107,23 @@ class EstimationService:
         return (self.dataset, self.model_version, self.data_version)
 
     def _build_runner(self):
-        """Select the batch runner for the current model weights.
+        """The batch runner for the current model weights.
 
-        Compiled fast path: lower the model into a plan for this service
-        (reusing the estimator's own plan when the options match; the
-        estimator's default path is never mutated).  All passes funnel
-        through the single batcher thread, so plan buffers are reused
-        batch after batch.  ``compiled=False`` pins the tape path even
-        when the estimator itself was compiled (e.g. by a registry load),
-        so the mode really is one-tape-pass-per-batch.
+        A Duet estimator gets one fresh plan at ``config.inference_dtype``;
+        each start and each model swap builds exactly one.  All passes
+        funnel through the single batcher thread, so plan buffers are
+        reused batch after batch.
         """
         estimator = self.estimator
-        if self.config.compiled:
-            factory = getattr(estimator, "timed_batch_runner", None)
-            if factory is not None:
-                dtype = self.config.inference_dtype
-                if dtype is None:
-                    # Defer to the estimator's own options (e.g. the dtype
-                    # persisted in the registry); the matching options also
-                    # let the runner share the estimator's existing plan.
-                    persisted = getattr(estimator, "compile_options", None)
-                    dtype = persisted.dtype if persisted is not None else "float64"
-                runner = factory(PlanOptions(dtype=dtype))
-                if self.config.obs.profile_plan_stages:
-                    compiled = getattr(runner, "compiled", None)
-                    if compiled is not None:
-                        compiled.enable_profiling(True)
-                return runner
-        else:
-            tape_factory = getattr(estimator, "tape_batch_runner", None)
-            if tape_factory is not None:
-                return tape_factory()
-        # Other estimators have no stage breakdown; the trace's batch span
-        # stays flat rather than booking the pass as queue wait.
-        return lambda queries: (estimator.estimate_batch(queries), None)
+        factory = getattr(estimator, "timed_batch_runner", None)
+        if factory is None:
+            # Other estimators have no stage breakdown; the trace's batch
+            # span stays flat rather than booking the pass as queue wait.
+            return lambda queries: (estimator.estimate_batch(queries), None)
+        runner = factory(PlanOptions(self.config.inference_dtype))
+        if self.config.obs.profile_plan_stages:
+            runner.compiled.enable_profiling(True)
+        return runner
 
     def _plan_buffer_bytes(self) -> int:
         compiled = getattr(self._timed_runner, "compiled", None)
@@ -150,8 +133,8 @@ class EstimationService:
         """Per-stage attribution of the serving plan's time.
 
         ``{"made_stages": [...]}`` (plus ``"mpsn_stages"`` when the model
-        has a merged MPSN), one entry per plan stage.  ``None`` when the
-        service runs uncompiled; all-zero counters until
+        has a merged MPSN), one entry per plan stage.  ``None`` for an
+        estimator without a plan; all-zero counters until
         ``ObsConfig.profile_plan_stages`` enables the hooks.  The per-batch
         translate/encode/forward/mask split lives in the batch runner's
         :class:`~repro.core.EstimationBreakdown`, not here.
@@ -361,8 +344,8 @@ class EstimationService:
         rows trained on directly, removed rows replayed as negatives.  The
         fine-tune happens on a parameter *clone*, so concurrent traffic —
         compiled or tape path — keeps reading the untouched original until
-        the single attribute swap at the end; then the serving plan is
-        recompiled from the tuned weights, the estimate cache is re-keyed
+        the single attribute swap at the end; then one serving plan is
+        built from the tuned weights, the estimate cache is re-keyed
         and flushed, and — when a registry is attached — the refreshed
         model is registered under a new version carrying the new
         ``data_version``.
@@ -424,7 +407,6 @@ class EstimationService:
                     tuned, self.dataset, version=version,
                     metadata={"fine_tuned_from": self.model_version,
                               "base_data_version": delta.base_version},
-                    compile_options=getattr(self.estimator, "compile_options", None),
                     data_version=snapshot.data_version)
             try:
                 self._install(tuned, snapshot.data_version,
@@ -444,7 +426,7 @@ class EstimationService:
         The cold-train escalation path: a model trained out-of-band (its
         table may carry *grown* domains the old model could not absorb) is
         swapped in exactly like a refresh result — tape path flipped by one
-        attribute assignment, compiled plan rebuilt, cache re-keyed and
+        attribute assignment, one plan built, cache re-keyed and
         flushed — while concurrent requests keep reading the old model
         until the swap completes.  ``data_version`` defaults to the model
         table's own version when it is a snapshot.
@@ -459,8 +441,9 @@ class EstimationService:
         """Hot-swap tail shared by refresh() and swap_model().
 
         Caller holds ``_refresh_lock``.  One attribute assignment flips the
-        tape path to the new weights; the compiled plan is then rebuilt from
-        them, and the cache is re-keyed before dropping the stale entries.
+        tape path to the new weights; one plan is then built from them, and
+        the cache is re-keyed before dropping the stale entries.  A batch
+        already holding the old runner finishes on the old model.
         """
         self.estimator.model = model
         self.estimator.table = model.table
@@ -468,8 +451,6 @@ class EstimationService:
         if model_version is not None:
             self.estimator.model_version = model_version
             self.model_version = model_version
-        if getattr(self.estimator, "compiled", False):
-            self.estimator.compile(self.estimator.compile_options)
         self.data_version = data_version
         self._timed_runner = self._build_runner()
         self._keys = QueryKeyEncoder(model.table, namespace=self._namespace())

@@ -3,14 +3,16 @@ autograd path across every model configuration, within float64 round-off.
 
 The tape path is the equivalence oracle (acceptance bound: 1e-6 relative in
 float64; measured agreement is ~1e-15).  float32 plans get a looser, still
-tight, bound.  Also covers compile-option persistence through the registry
-and the serving layer's compiled runner.
+tight, bound.  A plan only comes from ``DuetEstimator.timed_batch_runner``;
+the serving layer builds exactly one per start and per model swap, at
+``ServingConfig.inference_dtype``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    CompiledDuetModel,
     DuetConfig,
     DuetEstimator,
     DuetModel,
@@ -19,7 +21,7 @@ from repro.core import (
     ServingConfig,
     build_mpsn,
 )
-from repro.data import make_census
+from repro.data import ColumnStore, make_census
 from repro.nn import PlanOptions, Tensor
 from repro.serving import EstimationService, ModelRegistry
 from repro.workload import make_multi_predicate_workload, make_random_workload
@@ -61,68 +63,58 @@ CONFIGS = {
 }
 
 
+def _tape_and_plan(estimator, queries, dtype="float64"):
+    tape, _ = estimator.estimate_batch_with_breakdown(queries)
+    compiled, _ = estimator.timed_batch_runner(PlanOptions(dtype))(queries)
+    return tape, compiled
+
+
 class TestCompiledEquivalence:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_float64_matches_tape(self, table, name):
         config = CONFIGS[name]
-        model = DuetModel(table, config)
-        estimator = DuetEstimator(model)
-        queries = _workload(table, config).queries
-        tape, _ = estimator.estimate_batch_with_breakdown(queries, compiled=False)
-        compiled, _ = estimator.estimate_batch_with_breakdown(queries, compiled=True)
+        estimator = DuetEstimator(DuetModel(table, config))
+        tape, compiled = _tape_and_plan(estimator, _workload(table, config).queries)
         np.testing.assert_allclose(compiled, tape, rtol=RELATIVE_TOLERANCE,
                                    atol=RELATIVE_TOLERANCE)
 
     @pytest.mark.parametrize("name", ["plain", "residual", "embedding", "mpsn-mlp"])
     def test_float32_within_single_precision(self, table, name):
         config = CONFIGS[name]
-        model = DuetModel(table, config)
-        estimator = DuetEstimator(model).compile(PlanOptions(dtype="float32"))
-        queries = _workload(table, config).queries
-        tape, _ = estimator.estimate_batch_with_breakdown(queries, compiled=False)
-        compiled, _ = estimator.estimate_batch_with_breakdown(queries, compiled=True)
+        estimator = DuetEstimator(DuetModel(table, config))
+        tape, compiled = _tape_and_plan(estimator, _workload(table, config).queries,
+                                        dtype="float32")
         # float32 resolution, far below the model's own estimation error:
         # relative to the estimate itself, with a one-row absolute floor.
         np.testing.assert_allclose(compiled, tape, rtol=5e-4, atol=5e-4)
 
-    def test_compile_is_sticky_and_refreshable(self, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model)
-        assert not estimator.compiled
-        estimator.compile()
-        assert estimator.compiled
-        assert estimator.compile_options == PlanOptions()
-        estimator.compile(PlanOptions(dtype="float32"))
-        assert estimator.compile_options == PlanOptions(dtype="float32")
-
     def test_empty_batch_matches_tape(self, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model)
-        tape, _ = estimator.estimate_batch_with_breakdown([], compiled=False)
-        compiled, _ = estimator.estimate_batch_with_breakdown([], compiled=True)
+        estimator = DuetEstimator(DuetModel(table, CONFIGS["plain"]))
+        tape, compiled = _tape_and_plan(estimator, [])
         assert tape.shape == compiled.shape == (0,)
 
     def test_compiled_is_deterministic(self, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model).compile()
+        estimator = DuetEstimator(DuetModel(table, CONFIGS["plain"]))
+        runner = estimator.timed_batch_runner()
         queries = _workload(table, CONFIGS["plain"]).queries
-        first = estimator.estimate_batch(queries)
-        second = estimator.estimate_batch(queries)
+        first, _ = runner(queries)
+        second, _ = runner(queries)
         np.testing.assert_array_equal(first, second)
 
     def test_stale_plan_refreshes_on_recompile(self, table):
-        """compile() snapshots weights; training then recompiling refreshes."""
+        """A runner's plan snapshots the weights; a new runner picks up the
+        weights trained since."""
         model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model).compile()
+        estimator = DuetEstimator(model)
+        runner = estimator.timed_batch_runner()
         queries = _workload(table, CONFIGS["plain"], num_queries=16).queries
-        before = estimator.estimate_batch(queries)
+        before, _ = runner(queries)
         for parameter in model.parameters():
             parameter.data += 0.05  # stand-in for a training step
-        stale = estimator.estimate_batch(queries)
+        stale, _ = runner(queries)
         np.testing.assert_array_equal(stale, before)  # still the old snapshot
-        estimator.compile()
-        refreshed = estimator.estimate_batch(queries)
-        tape, _ = estimator.estimate_batch_with_breakdown(queries, compiled=False)
+        tape, refreshed = _tape_and_plan(estimator, queries)
+        assert not np.allclose(refreshed, before)
         np.testing.assert_allclose(refreshed, tape, rtol=RELATIVE_TOLERANCE,
                                    atol=RELATIVE_TOLERANCE)
 
@@ -143,28 +135,13 @@ class TestMergedMPSNPlan:
 
 
 class TestRegistryCompileOptions:
-    def test_round_trip_of_compile_options(self, tmp_path, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        registry = ModelRegistry(tmp_path)
-        registry.save(model, dataset="census",
-                      compile_options=PlanOptions(dtype="float32"))
-        assert registry.compile_options("census") == PlanOptions(dtype="float32")
-        reloaded = registry.load_estimator("census")
-        assert reloaded.compiled
-        assert reloaded.compile_options == PlanOptions(dtype="float32")
-        queries = _workload(table, CONFIGS["plain"]).queries
-        tape = DuetEstimator(model).estimate_batch(queries)
-        np.testing.assert_allclose(reloaded.estimate_batch(queries), tape,
-                                   rtol=5e-4, atol=5e-4)
-
     def test_save_without_options_stays_uncompiled(self, tmp_path, table):
+        """A registry reload carries no plan: its estimates are the tape's,
+        bit-for-bit with the original model."""
         model = DuetModel(table, CONFIGS["plain"])
         registry = ModelRegistry(tmp_path)
         registry.save(model, dataset="census")
-        assert registry.compile_options("census") is None
         reloaded = registry.load_estimator("census")
-        assert not reloaded.compiled
-        # The tape-path reload therefore stays bit-for-bit with the original.
         queries = _workload(table, CONFIGS["plain"]).queries
         np.testing.assert_array_equal(reloaded.estimate_batch(queries),
                                       DuetEstimator(model).estimate_batch(queries))
@@ -178,7 +155,8 @@ class TestServingCompiledRunner:
         tape = estimator.estimate_batch(queries)
         with EstimationService(estimator, ServingConfig(cache_capacity=0)) as service:
             served = service.estimate_batch(queries)
-        assert not estimator.compiled  # the estimator object is untouched
+        # The estimator's own path is still the tape, bit-for-bit.
+        np.testing.assert_array_equal(estimator.estimate_batch(queries), tape)
         np.testing.assert_allclose(served, tape, rtol=1e-9, atol=1e-9)
 
     def test_service_float32_dtype(self, table):
@@ -191,91 +169,75 @@ class TestServingCompiledRunner:
         np.testing.assert_allclose(served, estimator.estimate_batch(queries),
                                    rtol=5e-4, atol=5e-4)
 
-    def test_compiled_can_be_disabled(self, table):
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model)
-        queries = _workload(table, CONFIGS["plain"], num_queries=20).queries
-        config = ServingConfig(cache_capacity=0, micro_batching=False, compiled=False)
-        with EstimationService(estimator, config) as service:
-            served = service.estimate_batch(queries)
-        np.testing.assert_array_equal(served, estimator.estimate_batch(queries))
-
-    def test_compiled_false_pins_tape_for_registry_loads(self, tmp_path, table):
-        """compiled=False serves the tape even when the estimator itself was
-        compiled on load — bit-for-bit with an uncompiled reference."""
-        model = DuetModel(table, CONFIGS["plain"])
-        registry = ModelRegistry(tmp_path)
-        registry.save(model, dataset="census",
-                      compile_options=PlanOptions(dtype="float32"))
-        reloaded = registry.load_estimator("census")
-        assert reloaded.compiled
-        queries = _workload(table, CONFIGS["plain"], num_queries=20).queries
-        config = ServingConfig(cache_capacity=0, micro_batching=False, compiled=False)
-        with EstimationService(reloaded, config) as service:
-            served = service.estimate_batch(queries)
-        reference = DuetEstimator(model).estimate_batch(queries)
-        np.testing.assert_array_equal(served, reference)
-
-    def test_service_reuses_matching_estimator_plan(self, table):
-        """timed_batch_runner shares the estimator's plan when options match
-        (no second weight snapshot per service)."""
-        model = DuetModel(table, CONFIGS["plain"])
-        estimator = DuetEstimator(model).compile(PlanOptions(dtype="float32"))
-        runner = estimator.timed_batch_runner(PlanOptions(dtype="float32"))
-        assert runner.__closure__ is not None
-        shared = [cell.cell_contents for cell in runner.__closure__
-                  if cell.cell_contents is estimator._compiled]
-        assert shared, "matching options should reuse the estimator's plan"
-        other = estimator.timed_batch_runner(PlanOptions(dtype="float64"))
-        assert not [cell.cell_contents for cell in other.__closure__
-                    if cell.cell_contents is estimator._compiled]
-
-    def test_service_defers_to_persisted_compile_options(self, tmp_path, table):
-        """Default ServingConfig serves a registry-loaded estimator through
-        its persisted plan (same dtype, same snapshot — not a float64 one)."""
-        model = DuetModel(table, CONFIGS["plain"])
-        registry = ModelRegistry(tmp_path)
-        registry.save(model, dataset="census",
-                      compile_options=PlanOptions(dtype="float32"))
-        reloaded = registry.load_estimator("census")
-        config = ServingConfig(cache_capacity=0, micro_batching=False)
-        with EstimationService(reloaded, config) as service:
-            runner_cells = [cell.cell_contents
-                            for cell in service._timed_runner.__closure__]
-            assert reloaded._compiled in runner_cells  # shared, float32 plan
-            queries = _workload(table, CONFIGS["plain"], num_queries=10).queries
-            served = service.estimate_batch(queries)
-        np.testing.assert_allclose(
-            served, DuetEstimator(model).estimate_batch(queries),
-            rtol=5e-4, atol=5e-4)
-
     def test_invalid_inference_dtype_rejected(self):
         with pytest.raises(ValueError):
             ServingConfig(inference_dtype="float16")
+        with pytest.raises(ValueError):
+            ServingConfig(inference_dtype=None)
 
 
-class TestBaselineCompilation:
-    def test_naru_compiled_progressive_sampling_close_to_tape(self, table):
-        from repro.baselines import NaruEstimator
+SERVICE_CONFIG = DuetConfig(hidden_sizes=(32,), seed=0)
 
-        queries = make_random_workload(table, num_queries=5, seed=5).queries
-        tape = NaruEstimator(table, hidden_sizes=(32,), num_samples=50, seed=0)
-        compiled = NaruEstimator(table, hidden_sizes=(32,), num_samples=50, seed=0)
-        compiled.compile()
-        assert compiled.compiled and not tape.compiled
-        for query in queries:
-            # Same seed stream + numerically identical forward up to
-            # round-off: the sampled paths coincide and estimates agree.
-            np.testing.assert_allclose(compiled.estimate(query),
-                                       tape.estimate(query), rtol=1e-6, atol=1e-6)
 
-    def test_mscn_compiled_matches_tape(self, table):
-        from repro.baselines import MSCNEstimator
+class TestServicePlanLifecycle:
+    @pytest.fixture()
+    def store(self):
+        return ColumnStore.from_table(make_census(scale=0.02, seed=0))
 
-        workload = make_random_workload(table, num_queries=60, seed=6)
-        estimator = MSCNEstimator(table, epochs=2, seed=0).fit(workload)
-        queries = make_random_workload(table, num_queries=40, seed=7).queries
-        tape = estimator.estimate_batch(queries)
-        estimator.compile()
-        np.testing.assert_allclose(estimator.estimate_batch(queries), tape,
-                                   rtol=1e-6, atol=1e-6)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_one_plan_per_start_and_per_swap(self, tmp_path, monkeypatch,
+                                             store, dtype):
+        builds = []
+        build = CompiledDuetModel.__init__
+
+        def counting_build(plan, *args, **kwargs):
+            builds.append(plan)
+            build(plan, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledDuetModel, "__init__", counting_build)
+        base = store.snapshot()
+        registry = ModelRegistry(tmp_path)
+        registry.save(DuetModel(base, SERVICE_CONFIG), "census")
+        config = ServingConfig(cache_capacity=0, inference_dtype=dtype)
+
+        def served_plan():
+            plan = service._timed_runner.compiled
+            assert np.dtype(plan.dtype) == np.dtype(config.inference_dtype)
+            return plan
+
+        with EstimationService.from_registry(registry, "census", config=config,
+                                             store=store) as service:
+            assert len(builds) == 1 and served_plan() is builds[-1]
+            service.swap_model(DuetModel(base, SERVICE_CONFIG))
+            assert len(builds) == 2 and served_plan() is builds[-1]
+            rng = np.random.default_rng(1)
+            store.append({name: base.column(name).distinct_values[
+                rng.integers(0, base.column(name).num_distinct, size=40)]
+                for name in base.column_names})
+            assert service.refresh(epochs=1) is not None
+            assert len(builds) == 3 and served_plan() is builds[-1]
+
+    def test_in_flight_runner_survives_domain_growing_swap(self, store):
+        """A batch that picked up its runner before a swap to a model with a
+        grown domain still translates and scales with its own model."""
+        base = store.snapshot()
+        queries = make_random_workload(base, num_queries=20, seed=5,
+                                       label=False).queries
+        estimator = DuetEstimator(DuetModel(base, SERVICE_CONFIG))
+        with EstimationService(estimator, ServingConfig(cache_capacity=0),
+                               store=store) as service:
+            in_flight = service._timed_runner
+            before, _ = in_flight(queries)
+            first = base.column_names[0]
+            store.append({name: [base.column(name).distinct_values.max() + 1
+                                 if name == first
+                                 else base.column(name).distinct_values[0]]
+                          for name in base.column_names})
+            grown = store.snapshot()
+            assert (grown.column(first).num_distinct
+                    == base.column(first).num_distinct + 1)
+            service.swap_model(DuetModel(grown, SERVICE_CONFIG))
+            after, _ = in_flight(queries)
+            served = service.estimate_batch(queries)
+        np.testing.assert_array_equal(after, before)
+        assert served.shape == (20,)

@@ -231,9 +231,10 @@ class TestDuetEstimator:
         estimator = DuetEstimator(trained_model)
         workload = make_random_workload(toy_table, num_queries=10, seed=4)
         stages = ["translate", "encode", "forward", "mask"]
-        for compiled in (False, True):
-            estimates, breakdown = estimator.estimate_batch_with_breakdown(
-                workload.queries, compiled=compiled)
+        # The tape and a compiled runner report the same breakdown.
+        for run in (estimator.estimate_batch_with_breakdown,
+                    estimator.timed_batch_runner()):
+            estimates, breakdown = run(workload.queries)
             assert estimates.shape == (10,)
             # One stage-name list, in execution order, on both paths.
             assert list(breakdown) == stages
@@ -241,8 +242,7 @@ class TestDuetEstimator:
             # The paper's two-phase split is derived from the four stages.
             assert breakdown.encoding == breakdown["translate"] + breakdown["encode"]
             assert breakdown.inference == breakdown["forward"] + breakdown["mask"]
-            empty_estimates, empty = estimator.estimate_batch_with_breakdown(
-                [], compiled=compiled)
+            empty_estimates, empty = run([])
             assert empty_estimates.shape == (0,)
             assert list(empty.items()) == [(stage, 0.0) for stage in stages]
 

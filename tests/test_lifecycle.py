@@ -57,8 +57,7 @@ class TestEndToEndLifecycle:
         model = DuetModel(base, CONFIG)
         DuetTrainer(model, base, config=CONFIG).train(1)
         registry = ModelRegistry(tmp_path)
-        registry.save(model, dataset="lifecycle",
-                      compile_options=None)
+        registry.save(model, dataset="lifecycle")
 
         workload = make_random_workload(base, num_queries=60, seed=11,
                                         label=False)

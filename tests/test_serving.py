@@ -402,6 +402,16 @@ class TestModelRegistry:
         assert registry.latest_version("tiny") == "golden"
         assert pinned.num_parameters == estimator.model.num_parameters()
 
+    def test_config_from_dict_ignores_legacy_mpsn_merged(self):
+        """Entries saved while MPSNConfig still had ``merged`` keep loading."""
+        from repro.serving.registry import _config_from_dict, _config_to_dict
+
+        config = DuetConfig(hidden_sizes=(8,), multi_predicate=True,
+                            mpsn=MPSNConfig(kind="mlp", hidden_size=4))
+        payload = _config_to_dict(config)
+        payload["mpsn"]["merged"] = True
+        assert _config_from_dict(payload) == config
+
     def test_unknown_entries_raise(self, tmp_path, estimator):
         registry = ModelRegistry(tmp_path)
         with pytest.raises(KeyError):
