@@ -114,12 +114,8 @@ class NaruEstimator(CardinalityEstimator):
             dropout_mask = self._rng.uniform(size=inputs.shape) < self.wildcard_dropout
             inputs[dropout_mask] = -1
         outputs = self.model.forward(inputs)
-        loss: Tensor | None = None
-        for column_index in range(self.table.num_columns):
-            logits = self.model.column_logits(outputs, column_index)
-            column_loss = F.cross_entropy(logits, batch_codes[:, column_index])
-            loss = column_loss if loss is None else loss + column_loss
-        return loss
+        return F.block_cross_entropy(outputs, self.model.made.output_block_slices(),
+                                     batch_codes)
 
     def fit_epoch(self) -> float:
         """One pass over the table; returns the mean per-batch loss."""

@@ -165,21 +165,10 @@ class DuetModel(nn.Module):
         ``i`` or ``None`` when the column is unconstrained across the batch
         (the :meth:`QueryCodec.zero_out_masks` sentinel) — its factor is
         exactly 1 and the column's softmax is never materialised.  The
-        result is differentiable, which is what enables hybrid training.
+        result is one differentiable node (:func:`F.block_masked_mass`),
+        which is what enables hybrid training.
         """
-        selectivity: Tensor | None = None
-        for column_index in range(self.num_columns):
-            mask = masks[column_index]
-            if mask is None:
-                continue  # unconstrained column: factor is exactly 1
-            distribution = self.column_distribution(outputs, column_index)
-            mask = np.asarray(mask, dtype=np.float64)
-            factor = (distribution * Tensor(mask)).sum(axis=-1)
-            selectivity = factor if selectivity is None else selectivity * factor
-        if selectivity is None:
-            batch = outputs.shape[0]
-            return Tensor(np.ones(batch))
-        return selectivity
+        return F.block_masked_mass(outputs, self.made.output_block_slices(), masks)
 
     # ------------------------------------------------------------------
     def merged_mpsn_inference(self, options: "nn.PlanOptions | None" = None

@@ -165,12 +165,8 @@ class DuetTrainer:
         """Unsupervised loss: cross-entropy on the virtual-table sample."""
         virtual = self.sampler.sample_batch(batch_codes)
         outputs = self.model.forward(virtual.values, virtual.ops)
-        loss: Tensor | None = None
-        for column_index in range(self.table.num_columns):
-            logits = self.model.column_logits(outputs, column_index)
-            column_loss = F.cross_entropy(logits, virtual.labels[:, column_index])
-            loss = column_loss if loss is None else loss + column_loss
-        return loss
+        return F.block_cross_entropy(outputs, self.model.made.output_block_slices(),
+                                     virtual.labels)
 
     def _negative_loss(self) -> Tensor:
         """Negative-replay hinge on a sample of removed tuples.
@@ -187,11 +183,8 @@ class DuetTrainer:
                                   replace=False)
         virtual = self.sampler.sample_batch(self._negative_codes[picked])
         outputs = self.model.forward(virtual.values, virtual.ops)
-        ce: Tensor | None = None
-        for column_index in range(self.table.num_columns):
-            logits = self.model.column_logits(outputs, column_index)
-            column_loss = F.cross_entropy(logits, virtual.labels[:, column_index])
-            ce = column_loss if ce is None else ce + column_loss
+        ce = F.block_cross_entropy(outputs, self.model.made.output_block_slices(),
+                                   virtual.labels)
         return (self._negative_margin - ce).relu()
 
     def _query_loss(self) -> tuple[Tensor, float]:

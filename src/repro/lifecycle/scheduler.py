@@ -32,7 +32,10 @@ rails a production control plane needs:
   train) is shadow-evaluated by the :class:`~repro.lifecycle.ShadowEvaluator`
   against the drift probe set before it may swap in; a candidate whose probe
   median Q-Error is worse than ``canary_margin`` times the incumbent's is
-  rejected (``canary_reject`` event) and the incumbent keeps serving;
+  rejected (``canary_reject`` event) and the incumbent keeps serving.  A
+  rejected cold train is not rerun on the same data: until the store's
+  ``data_version`` moves, an escalation records a ``cold_train_skipped``
+  decision instead of training again;
 * **failure backoff & circuit breaker** — a failed refresh / cold train /
   compaction parks the tune path for an exponentially growing
   ``failure_backoff_seconds`` window instead of consuming the success
@@ -96,6 +99,9 @@ class RefreshScheduler:
         # Backpressure: holders of this lock are "the one tune in flight".
         self._tune_lock = threading.Lock()
         self._cold_train: ColdTrainResult | None = None
+        #: store data_version a cold train was last canary-rejected at; a
+        #: retrain on the same data would repeat the same verdict
+        self._rejected_cold_train_version: int | None = None
         # Serialises cold-train finalisation between the loop thread and
         # quiesce() callers, so the outcome is folded in exactly once.
         self._finalise_lock = threading.Lock()
@@ -333,6 +339,9 @@ class RefreshScheduler:
                                        error=repr(error))
                     self._note_failure("refresh")
                     return
+                if self._cold_train_rejected_here():
+                    self._record_cold_train_skip("refresh")
+                    return
                 self._cold_train = start_cold_train(
                     self.service, epochs=self.policy.cold_train_epochs,
                     throttle=self._make_throttle(),
@@ -396,6 +405,7 @@ class RefreshScheduler:
             return None
         compact_started = time.perf_counter()
         try:
+            rejected_here = self._cold_train_rejected_here()
             report = self.compaction.compact(self.service)
             event = self.events.record(
                 "compaction",
@@ -403,6 +413,12 @@ class RefreshScheduler:
                 dropped_rows=report.dropped_rows,
                 data_version=report.data_version)
             self._last_tune_at = time.monotonic()
+            if rejected_here:
+                # Compaction keeps the live rows bit-for-bit, so the verdict
+                # on them carries over to the version the rewrite published.
+                self._rejected_cold_train_version = report.data_version
+                self._record_cold_train_skip("compaction")
+                return event
             # The served model's delta base predates the new chunk layout:
             # fine-tuning can no longer see what changed, so go straight to
             # the background cold-train/swap path.
@@ -444,6 +460,7 @@ class RefreshScheduler:
             # The canary already recorded its canary_reject; the incumbent
             # keeps serving, and the wasted training cost starts a cooldown.
             self._last_tune_at = time.monotonic()
+            self._rejected_cold_train_version = pending.data_version
             return self.events.record("cold_train", status="rejected",
                                       data_version=pending.data_version)
         event = self.events.record(
@@ -454,6 +471,15 @@ class RefreshScheduler:
         self._after_tune()
         self._note_success()
         return event
+
+    def _cold_train_rejected_here(self) -> bool:
+        """Whether a cold train was already canary-rejected on the store's data."""
+        return self._store_stat("data_version") == self._rejected_cold_train_version
+
+    def _record_cold_train_skip(self, trigger: str) -> LifecycleEvent:
+        return self.events.record(
+            "decision", action="cold_train_skipped", trigger=trigger,
+            data_version=self._rejected_cold_train_version)
 
     def _after_tune(self) -> None:
         """Post-tune hygiene: rebase drift baseline, apply retention."""

@@ -4,9 +4,19 @@ These mirror the subset of ``torch.nn.functional`` that the Duet paper's
 models rely on: softmax / log-softmax, cross-entropy with integer targets,
 the Gumbel-Softmax relaxation used by the UAE baseline, and the Q-Error
 losses used for hybrid training.
+
+Two losses work on a column-blocked MADE output as a whole and are single
+autograd nodes with hand-written backwards: :func:`block_cross_entropy`
+(Algorithm 1's per-column likelihood, summed over columns) and
+:func:`block_masked_mass` (Algorithm 3's zero-out, the differentiable
+selectivity of hybrid training).  Both run every block at once as
+``reduceat`` segments, so their cost does not grow with the column count in
+Python calls or graph nodes.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +27,8 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "nll_loss",
+    "block_cross_entropy",
+    "block_masked_mass",
     "mse_loss",
     "binary_cross_entropy",
     "gumbel_softmax",
@@ -58,6 +70,117 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") ->
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Cross-entropy between raw ``logits`` and integer class ``targets``."""
     return nll_loss(log_softmax(logits, axis=-1), targets, reduction=reduction)
+
+
+def _gather_blocks(data: np.ndarray, blocks: Sequence[tuple[int, int]]):
+    """Lay the ``(start, end)`` column blocks of ``data`` side by side.
+
+    Returns ``(gathered, widths, segments, columns)``: ``segments`` are the
+    blocks' first columns in ``gathered`` (the ``reduceat`` offsets) and
+    ``columns`` maps gathered columns back to ``data``'s — ``None`` when the
+    blocks tile ``data`` in order and ``gathered`` is ``data`` itself.
+    Blocks must be non-empty and must not overlap.
+    """
+    starts = np.array([start for start, _ in blocks], dtype=np.intp)
+    widths = np.array([end for _, end in blocks], dtype=np.intp) - starts
+    if (widths <= 0).any():
+        raise ValueError("column blocks must be non-empty")
+    segments = np.zeros(len(blocks), dtype=np.intp)
+    np.cumsum(widths[:-1], out=segments[1:])
+    if np.array_equal(starts, segments) and widths.sum() == data.shape[1]:
+        return data, widths, segments, None
+    columns = np.concatenate([np.arange(start, start + width)
+                              for start, width in zip(starts, widths)])
+    return data[:, columns], widths, segments, columns
+
+
+def _scatter_blocks(grad: np.ndarray, shape: tuple[int, ...],
+                    columns: np.ndarray | None) -> np.ndarray:
+    """Inverse of :func:`_gather_blocks` for a gradient: place it in ``shape``."""
+    if columns is None:
+        return grad
+    full = np.zeros(shape)
+    full[:, columns] = grad  # blocks do not overlap: plain assignment
+    return full
+
+
+def block_cross_entropy(logits: Tensor, blocks: Sequence[tuple[int, int]],
+                        targets: np.ndarray) -> Tensor:
+    """Sum over column blocks of the batch-mean cross-entropy, as one node.
+
+    ``logits`` is ``(batch, width)``; ``blocks[i] = (start, end)`` is column
+    ``i``'s logit slice and ``targets[:, i]`` its integer class within the
+    block.  The value equals ``sum_i cross_entropy(logits[:, start_i:end_i],
+    targets[:, i])``; per-block max, ``exp``, sum and the picked logit run as
+    ``reduceat`` segments, and the backward is ``(softmax - onehot) * g /
+    batch`` written straight into the logits' gradient.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    gathered, widths, segments, columns = _gather_blocks(logits.data, blocks)
+    if targets.shape != (gathered.shape[0], len(widths)):
+        raise ValueError(f"expected targets of shape {(gathered.shape[0], len(widths))}, "
+                         f"got {targets.shape}")
+    if targets.size and (targets.min() < 0 or (targets >= widths).any()):
+        raise IndexError("target outside its column block")
+    batch = gathered.shape[0]
+    maxima = np.maximum.reduceat(gathered, segments, axis=1)
+    shifted = gathered - np.repeat(maxima, widths, axis=1)
+    exp = np.exp(shifted)
+    sums = np.add.reduceat(exp, segments, axis=1)
+    rows = np.arange(batch)[:, None]
+    picked = segments + targets  # gathered column of each row's target
+    losses = np.log(sums) - shifted[rows, picked]
+    value = losses.mean(axis=0).sum()
+
+    def backward(grad: np.ndarray) -> None:
+        dlogits = exp / np.repeat(sums, widths, axis=1)
+        dlogits[rows, picked] -= 1.0
+        dlogits *= grad / batch
+        logits._accumulate(_scatter_blocks(dlogits, logits.shape, columns), owned=True)
+
+    return logits._make(np.asarray(value), (logits,), backward)
+
+
+def block_masked_mass(logits: Tensor, blocks: Sequence[tuple[int, int]],
+                      masks: Sequence[np.ndarray | None]) -> Tensor:
+    """Product over constrained blocks of the masked softmax mass, as one node.
+
+    Algorithm 3's zero-out, differentiable: ``masks[i]`` is column ``i``'s
+    ``(batch, NDV_i)`` valid-value mask, or ``None`` when no query of the
+    batch constrains the column (its factor is exactly 1 and it is skipped).
+    Each factor is ``sum(exp(l - max) * mask) / sum(exp(l - max))`` over the
+    block, in the gathered-segment layout of
+    :func:`repro.nn.inference.masked_block_mass`.  The backward is ``p *
+    (mask - factor)`` times the product of the *other* factors, taken from
+    left and right running products: never a division by a factor, which
+    is exactly 0 for an empty interval.  Returns a ``(batch,)`` tensor.
+    """
+    batch = logits.shape[0]
+    constrained = [(block, mask) for block, mask in zip(blocks, masks)
+                   if mask is not None]
+    if not constrained:
+        return Tensor(np.ones(batch))
+    gathered, widths, segments, columns = _gather_blocks(
+        logits.data, [block for block, _ in constrained])
+    maxima = np.maximum.reduceat(gathered, segments, axis=1)
+    exp = np.exp(gathered - np.repeat(maxima, widths, axis=1))
+    denominator = np.add.reduceat(exp, segments, axis=1)
+    mask_matrix = np.concatenate([np.asarray(mask, dtype=np.float64)
+                                  for _, mask in constrained], axis=1)
+    factors = np.add.reduceat(exp * mask_matrix, segments, axis=1) / denominator
+    value = factors.prod(axis=1)
+
+    def backward(grad: np.ndarray) -> None:
+        others = np.ones_like(factors)
+        np.cumprod(factors[:, :-1], axis=1, out=others[:, 1:])
+        others[:, :-1] *= np.cumprod(factors[:, :0:-1], axis=1)[:, ::-1]
+        others *= grad[:, None]
+        dlogits = exp / np.repeat(denominator, widths, axis=1)
+        dlogits *= mask_matrix - np.repeat(factors, widths, axis=1)
+        dlogits *= np.repeat(others, widths, axis=1)
+        logits._accumulate(_scatter_blocks(dlogits, logits.shape, columns), owned=True)
+
+    return logits._make(value, (logits,), backward)
 
 
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray, reduction: str = "mean") -> Tensor:

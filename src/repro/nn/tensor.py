@@ -5,10 +5,17 @@ this offline environment, so this module provides the minimal but complete
 autograd substrate the reproduction needs: a :class:`Tensor` wrapping a NumPy
 array, a tape of parent links, and a topological-order backward pass.
 
-The design goals are explicitness and testability rather than raw speed.
 Every operator used by the models in this repository (MADE, ResMADE, MLP
 MPSNs, LSTM MPSNs, MSCN, UAE's Gumbel-Softmax relaxation) is implemented
 here with full broadcasting support.
+
+A training step should cost about what its arithmetic costs, so the
+bookkeeping follows one rule: each tensor owns a single gradient buffer and
+contributions are added into it in place.  A basic-index slice (ints,
+slices, ``Ellipsis``, ``None``) adds its gradient straight into the slice
+of that buffer; only advanced indices, whose repeats must sum, scatter with
+``np.add.at``.  The column-blocked losses of MADE training are single
+nodes with hand-written backwards (see :mod:`repro.nn.functional`).
 """
 
 from __future__ import annotations
@@ -74,6 +81,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is NumPy basic indexing (a view, no repeats).
+
+    Ints, slices, ``Ellipsis`` and ``None``, alone or in a tuple.  Booleans
+    are excluded: NumPy treats them as (advanced) masks.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts)
 
 
 def _as_array(value) -> np.ndarray:
@@ -166,14 +186,23 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's own gradient buffer.
+
+        Later contributions are added in place, so a node reached along
+        many paths keeps one buffer instead of a fresh array per path.  The
+        first contribution becomes that buffer: it is copied unless the
+        caller passes ``owned=True`` for an array it has just computed and
+        holds no other reference to (a pass-through gradient may be handed
+        to several parents, or be a read-only broadcast view).
+        """
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -192,7 +221,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -207,8 +236,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(grad * self.data, owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -219,8 +250,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data ** 2))
+            if self.requires_grad:
+                self._accumulate(grad / other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -233,7 +266,7 @@ class Tensor:
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * (self.data ** (exponent - 1)))
+            self._accumulate(grad * exponent * (self.data ** (exponent - 1)), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -245,14 +278,14 @@ class Tensor:
             if self.requires_grad:
                 if other.data.ndim == 1:
                     self._accumulate(np.outer(grad, other.data) if grad.ndim == 1
-                                     else grad[..., None] * other.data)
+                                     else grad[..., None] * other.data, owned=True)
                 else:
-                    self._accumulate(grad @ other.data.swapaxes(-1, -2))
+                    self._accumulate(grad @ other.data.swapaxes(-1, -2), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
+                    other._accumulate(np.outer(self.data, grad), owned=True)
                 else:
-                    other._accumulate(self.data.swapaxes(-1, -2) @ grad)
+                    other._accumulate(self.data.swapaxes(-1, -2) @ grad, owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -263,7 +296,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -271,7 +304,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -283,7 +316,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -291,7 +324,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -299,7 +332,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
+            self._accumulate(grad * (1.0 - out_data ** 2), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -312,7 +345,7 @@ class Tensor:
             pass_through = pass_through * (self.data <= maximum)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * pass_through)
+            self._accumulate(grad * pass_through, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -351,13 +384,13 @@ class Tensor:
             if axis is None:
                 mask = (self.data == self.data.max()).astype(np.float64)
                 mask /= mask.sum()
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
             else:
                 expanded_max = self.data.max(axis=axis, keepdims=True)
                 mask = (self.data == expanded_max).astype(np.float64)
                 mask /= mask.sum(axis=axis, keepdims=True)
                 g = grad if keepdims else np.expand_dims(grad, axis=axis)
-                self._accumulate(mask * g)
+                self._accumulate(mask * g, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -388,11 +421,23 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
+            if not self.requires_grad:
+                return
+            if basic:
+                # A basic index selects each element at most once: add the
+                # slice's gradient straight into the owned buffer.
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[index] += grad
+                return
+            # Advanced indices may repeat (Embedding lookups, nll_loss
+            # picks), and np.add.at sums the repeats.
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return self._make(out_data, (self,), backward)
 

@@ -79,6 +79,16 @@ def _append_in_domain(store: ColumnStore, count: int, seed: int):
     })
 
 
+def _append_growing(store: ColumnStore, count: int, seed: int):
+    """Append rows holding values outside every current domain."""
+    rng = np.random.default_rng(seed)
+    return store.append({
+        "age": rng.integers(200, 260, size=count),
+        "city": rng.choice(["zrh", "vie"], size=count),
+        "score": rng.integers(50, 60, size=count),
+    })
+
+
 def _seeded_monitor(service, policy=EAGER, num_probes=20):
     monitor = DriftMonitor(service, policy)
     workload = make_random_workload(service.store.snapshot(),
@@ -302,6 +312,40 @@ class TestCanaryGating:
             assert result.error is None and result.entry is None
             assert service.estimator.model is served
             assert service.registry.versions("lifecycle") == versions_before
+
+    def test_rejected_escalation_is_not_retrained_at_the_same_version(
+            self, store, tmp_path, monkeypatch):
+        policy = LifecyclePolicy(**{**_policy_kwargs(EAGER),
+                                    "canary_margin": 0.01})
+        with _make_service(store, tmp_path) as service:
+            scheduler = RefreshScheduler(service, policy,
+                                         monitor=_seeded_monitor(service,
+                                                                 policy))
+            _append_growing(store, 60, seed=5)
+            assert scheduler.poll_once().details["action"] == "tune"
+            assert scheduler.events.last("cold_train").details["status"] == "started"
+            assert scheduler.quiesce(timeout=60.0)
+            rejected = scheduler.events.last("cold_train")
+            assert rejected.details["status"] == "rejected"
+            assert rejected.details["data_version"] == store.data_version
+
+            def no_training(*args, **kwargs):
+                raise AssertionError("cold train restarted on rejected data")
+
+            monkeypatch.setattr("repro.lifecycle.scheduler.start_cold_train",
+                                no_training)
+            assert scheduler.poll_once().details["action"] == "tune"
+            skipped = scheduler.events.last("decision")
+            assert skipped.details["action"] == "cold_train_skipped"
+            assert skipped.details["data_version"] == store.data_version
+            assert not scheduler.cold_train_in_flight
+            assert scheduler.events.count("cold_train") == 2  # started, rejected
+            # new data lifts the block: the next escalation trains again
+            monkeypatch.undo()
+            _append_growing(store, 20, seed=6)
+            assert scheduler.poll_once().details["action"] == "tune"
+            assert scheduler.events.last("cold_train").details["status"] == "started"
+            assert scheduler.quiesce(timeout=60.0)
 
     def test_finalise_reports_rejected_cold_train(self, store, tmp_path):
         with _make_service(store, tmp_path) as service:

@@ -237,6 +237,103 @@ class TestGraphBehaviour:
         assert a.grad is None
 
 
+def _reference_slice_gradient(shape, indices, grads):
+    """The scatter-and-copy accumulation every slice once paid for."""
+    total = None
+    for index, grad in zip(indices, grads):
+        full = np.zeros(shape)
+        np.add.at(full, index, grad)
+        total = full.copy() if total is None else total + full
+    return total
+
+
+class TestInPlaceAccumulation:
+    """Gradients are summed into one owned buffer per tensor."""
+
+    BASIC_INDICES = [
+        (slice(1, 4),),
+        (slice(None), slice(2, 5)),
+        (Ellipsis, slice(0, 3)),
+        (2,),
+        (-1, slice(None, None, -2)),
+        (slice(None), None, 3),
+        (slice(0, 5, 2), Ellipsis),
+        (np.int64(1), slice(1, None)),
+    ]
+
+    @pytest.mark.parametrize("index", BASIC_INDICES)
+    def test_basic_slices_match_the_add_at_reference_bitwise(self, index):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(5, 6))
+        # three overlapping reads of the same tensor, each with its own weight
+        indices = [index, (slice(None), slice(1, 5)), index]
+        weights = [rng.normal(size=data[i].shape) for i in indices]
+        x = Tensor(data, requires_grad=True)
+        total = None
+        for i, weight in zip(indices, weights):
+            term = (x[i] * Tensor(weight)).sum()
+            total = term if total is None else total + term
+        total.backward()
+        expected = _reference_slice_gradient(data.shape, indices, weights)
+        assert np.array_equal(x.grad, expected)
+
+    def test_embedding_lookup_with_repeated_codes_sums(self):
+        from repro.nn import Embedding
+
+        embedding = Embedding(4, 3, rng=np.random.default_rng(1))
+        codes = np.array([2, 0, 2, 2, 1])
+        embedding(codes).sum().backward()
+        np.testing.assert_array_equal(embedding.weight.grad[:, 0], [1.0, 1.0, 3.0, 0.0])
+
+    def test_boolean_mask_index_is_not_treated_as_a_slice(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        x[np.array([True, False, True, True])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 1.0, 1.0])
+
+    def test_x_plus_x(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_diamond_through_slices(self):
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        left = x[0:4] * 2.0
+        right = x[2:6] * 3.0
+        (left * right).sum().backward()
+        expected = np.zeros(6)
+        expected[0:4] += 2.0 * 3.0 * x.data[2:6]
+        expected[2:6] += 3.0 * 2.0 * x.data[0:4]
+        np.testing.assert_allclose(x.grad, expected)
+
+    def test_grad_handed_to_two_parents_is_not_aliased(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        seed = np.array([0.5, -1.5])
+        first = a + b
+        first.backward(seed)
+        assert a.grad is not b.grad and a.grad is not seed and b.grad is not seed
+        # a second graph accumulates in place into each leaf's own buffer
+        (a + b).backward(seed)
+        np.testing.assert_array_equal(a.grad, 2 * seed)
+        np.testing.assert_array_equal(b.grad, 2 * seed)
+        np.testing.assert_array_equal(seed, [0.5, -1.5])
+        np.testing.assert_array_equal(first.grad, seed)
+
+    def test_intermediate_grads_are_not_mutated_by_their_parents(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = a + 0.0  # hands its own grad array on to ``a``
+        total = hidden.sum() + (a * 3.0).sum()
+        total.backward()
+        np.testing.assert_array_equal(hidden.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+
+    def test_broadcast_views_are_copied_before_accumulating(self):
+        # sum's backward hands out a read-only broadcast view
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        (x.sum() + x.sum(axis=0).sum()).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 class TestPropertyBased:
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=5),
                       elements=st.floats(-10, 10)))
