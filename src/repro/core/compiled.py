@@ -10,9 +10,9 @@ into pure-array form:
   itself a plan sharing the same dtype,
 * embedding tables become plain gather arrays, and
 * Algorithm 3's zero-out runs through the fused
-  :func:`~repro.nn.masked_block_mass` kernel — constrained columns get their
-  masked probability mass straight from the logits, unconstrained columns
-  are skipped entirely.
+  :func:`~repro.nn.masked_block_mass` kernel over each query's per-column
+  code intervals — constrained columns get their masked probability mass
+  straight from the logits, unconstrained columns are skipped entirely.
 
 Weights are copied when the plan is built: training the model afterwards
 does not change a plan — build a new one with
@@ -214,7 +214,9 @@ class CompiledDuetModel:
         return self.made_plan.run(encoded)
 
     def selectivity_from_logits(self, logits: np.ndarray,
-                                masks: list[np.ndarray | None]) -> np.ndarray:
-        """Fused zero-out product; returns a fresh ``(batch,)`` float64 array."""
-        mass = masked_block_mass(logits, self.blocks, masks)
+                                intervals: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Fused zero-out product over the ``(low, high)`` code intervals of
+        :meth:`QueryCodec.translate_batch`; returns a fresh ``(batch,)``
+        float64 array."""
+        mass = masked_block_mass(logits, self.blocks, intervals)
         return np.asarray(mass, dtype=np.float64)

@@ -165,9 +165,6 @@ class ServingConfig:
         swap, and runs every forward pass through it; the estimator's tape
         path is left as the equivalence oracle.  Estimators without a
         compiled form run their ordinary batched path.
-    refresh_epochs:
-        Fine-tuning epochs one ``EstimationService.refresh()`` runs over the
-        appended rows (plus replay) before hot-swapping the model.
     replay_fraction:
         Old-row replay size of a refresh, as a fraction of the appended
         rows — the anti-forgetting knob of incremental fine-tuning.
@@ -182,7 +179,6 @@ class ServingConfig:
     cache_capacity: int = 8192
     latency_window: int = 65536
     inference_dtype: str = "float64"
-    refresh_epochs: int = 1
     replay_fraction: float = 0.25
     obs: ObsConfig = field(default_factory=ObsConfig)
 
@@ -195,8 +191,6 @@ class ServingConfig:
             raise ValueError("latency_window must be positive")
         if self.inference_dtype not in ("float32", "float64"):
             raise ValueError("inference_dtype must be 'float32' or 'float64'")
-        if self.refresh_epochs <= 0:
-            raise ValueError("refresh_epochs must be positive")
         if self.replay_fraction < 0:
             raise ValueError("replay_fraction must be non-negative")
 
@@ -244,8 +238,8 @@ class LifecyclePolicy:
     cooldown_seconds:
         Minimum wall-clock gap between two controller-initiated tunes.
     refresh_epochs:
-        Fine-tuning epochs per automatic refresh (``None`` defers to
-        :attr:`ServingConfig.refresh_epochs`).
+        Fine-tuning epochs per automatic refresh (the one epoch of a manual
+        ``EstimationService.refresh()`` unless set otherwise).
     cold_train_on_growth:
         When a refresh fails with a domain-growth error, escalate to a
         background cold train + swap instead of surfacing the error.
@@ -308,7 +302,7 @@ class LifecyclePolicy:
     qerror_drift_factor: float | None = 2.0
     debounce_polls: int = 2
     cooldown_seconds: float = 30.0
-    refresh_epochs: int | None = None
+    refresh_epochs: int = 1
     cold_train_on_growth: bool = True
     cold_train_epochs: int = 4
     tune_slice_batches: int = 8
@@ -344,8 +338,8 @@ class LifecyclePolicy:
             raise ValueError("debounce_polls must be positive")
         if self.cooldown_seconds < 0:
             raise ValueError("cooldown_seconds must be non-negative")
-        if self.refresh_epochs is not None and self.refresh_epochs <= 0:
-            raise ValueError("refresh_epochs must be positive (or None)")
+        if self.refresh_epochs <= 0:
+            raise ValueError("refresh_epochs must be positive")
         if self.cold_train_epochs <= 0:
             raise ValueError("cold_train_epochs must be positive")
         if self.tune_slice_batches <= 0:

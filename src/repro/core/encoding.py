@@ -15,8 +15,9 @@ Queries are first translated into *canonical code-space predicates*: each
 predicate's inclusive code interval, read from the table's
 :class:`~repro.workload.CodeIntervals` memo, becomes one ``(operator, code)``
 pair, so that training (Algorithm 1 samples directly in code space) and
-inference see exactly the same representation.  The zero-out masks come from
-the same intervals, intersected per query and column.
+inference see exactly the same representation.  Algorithm 3's zero-out reads
+the same intervals, intersected per query and column, as one ``(low, high)``
+pair of ``(batch, num_columns)`` arrays.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class ColumnPredicateEncoder:
 
 
 class QueryCodec:
-    """Translates :class:`Query` objects into code-space arrays and masks."""
+    """Translates :class:`Query` objects into code-space arrays and intervals."""
 
     def __init__(self, table: Table, config: DuetConfig) -> None:
         self.table = table
@@ -190,37 +191,39 @@ class QueryCodec:
         self.intervals.table = table
 
     # ------------------------------------------------------------------
-    def translate_batch(self, queries: list[Query], enforce_slots: bool = True,
-                        with_masks: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-        """One-pass batched translation: ``(values, ops, masks)``.
+    def translate_batch(self, queries: list[Query]
+                        ) -> tuple[np.ndarray, np.ndarray,
+                                   tuple[np.ndarray, np.ndarray]]:
+        """One-pass batched translation: ``(values, ops, intervals)``.
 
         Every predicate's code interval is read from the
         :class:`~repro.workload.CodeIntervals` memo (computed once per
-        distinct predicate); the canonical code arrays and the zero-out masks
-        are both derived from those rows.  A one-sided interval becomes
-        ``<= high`` or ``>= low``, a single code ``= code``, an empty one an
-        equality on the nearest code (its mask then zeroes the estimate).
+        distinct predicate); the canonical code arrays and the zero-out
+        intervals are both derived from those rows.  A one-sided interval
+        becomes ``<= high`` or ``>= low``, a single code ``= code``, an empty
+        one an equality on the nearest code (its interval then zeroes the
+        estimate).
 
-        ``enforce_slots=False`` silently drops canonical predicates beyond
-        the slot budget instead of raising — the zero-out masks are always
-        defined even for queries the code arrays cannot represent.
-        ``with_masks=False`` skips mask construction entirely (the returned
-        mask list is all-``None``) for callers that only need code arrays.
+        ``intervals = (low, high)`` are ``(batch, num_columns)`` arrays: the
+        inclusive code interval each query allows on each column, i.e. the
+        intersection of its predicates there.  An unconstrained cell is the
+        full domain ``[0, NDV - 1]``; an unsatisfiable one has ``low > high``.
         """
         batch = len(queries)
         num_columns = self.table.num_columns
         shape = (batch, num_columns, self.max_predicates)
         values = np.full(shape, -1, dtype=np.int64)
         ops = np.full(shape, -1, dtype=np.int64)
-        masks: list[np.ndarray | None] = [None] * num_columns
+        interval_low = np.zeros((batch, num_columns), dtype=np.int64)
+        interval_high = np.repeat(self._last[None, :], batch, axis=0)
+        intervals = (interval_low, interval_high)
 
         # Queries outer, predicates inner: the order slot assignment relies on.
         rows_of = self.intervals.rows
         flat = [(query_index, *row) for query_index, query in enumerate(queries)
                 for row in rows_of(query)]
         if not flat:
-            return values, ops, masks
+            return values, ops, intervals
         qi, ci, low, high = np.array(flat, dtype=np.int64).T
 
         # Canonical (operator, code) pairs.  Later assignments override
@@ -242,34 +245,23 @@ class QueryCodec:
         group_first = np.flatnonzero(_run_starts(rows * num_columns + cols))
         group_sizes = np.diff(np.append(group_first, order.size))
         slots = np.arange(order.size) - np.repeat(group_first, group_sizes)
-        overflow = slots >= self.max_predicates
-        if enforce_slots and overflow.any():
+        if (slots >= self.max_predicates).any():
             raise ValueError(
                 f"query has {int(group_sizes.max())} predicates on column "
                 f"{self.table.column(int(cols[np.argmax(slots)])).name!r} but "
                 f"the model was configured for at most {self.max_predicates}; "
                 f"enable multi_predicate / raise max_predicates_per_column")
 
-        if with_masks:
-            # One interval per (query, column): the intersection of its
-            # predicates' intervals over the groups sorted above.
-            group_low = np.maximum.reduceat(low[order], group_first)
-            group_high = np.minimum.reduceat(high[order], group_first)
-            group_rows, group_cols = rows[group_first], cols[group_first]
-            for column_index in np.unique(group_cols):
-                selected = group_cols == column_index
-                codes = np.arange(self._last[column_index] + 1)
-                mask = np.ones((batch, codes.size), dtype=np.float64)
-                mask[group_rows[selected]] = (
-                    (codes >= group_low[selected, None])
-                    & (codes <= group_high[selected, None]))
-                masks[column_index] = mask
-
-        keep = ~overflow
-        order, rows, cols, slots = order[keep], rows[keep], cols[keep], slots[keep]
+        # One interval per (query, column): the intersection of its
+        # predicates' intervals over the groups sorted above.
+        group_rows, group_cols = rows[group_first], cols[group_first]
+        interval_low[group_rows, group_cols] = np.maximum.reduceat(low[order],
+                                                                   group_first)
+        interval_high[group_rows, group_cols] = np.minimum.reduceat(high[order],
+                                                                    group_first)
         values[rows, cols, slots] = canonical_code[order]
         ops[rows, cols, slots] = canonical_op[order]
-        return values, ops, masks
+        return values, ops, intervals
 
     # ------------------------------------------------------------------
     def queries_to_code_arrays(self, queries: list[Query]
@@ -279,19 +271,5 @@ class QueryCodec:
         Both arrays have shape ``(batch, num_columns, max_predicates)`` and
         use ``-1`` for "no predicate in this slot".
         """
-        values, ops, _ = self.translate_batch(queries, with_masks=False)
+        values, ops, _ = self.translate_batch(queries)
         return values, ops
-
-    def zero_out_masks(self, queries: list[Query]) -> list[np.ndarray | None]:
-        """Per-column valid-value masks ``Pred_i(R_i, v_i)`` for a query batch.
-
-        ``masks[column]`` is ``None`` when no query in the batch constrains
-        the column — the sentinel for "factor is exactly 1", which lets both
-        the tape and the compiled selectivity paths skip the column without
-        materialising a dense all-ones ``(batch, NDV)`` array or scanning
-        one.  For constrained columns, element ``[query, code]`` is 1 when
-        the code satisfies every predicate the query places on the column
-        (rows of queries that leave the column unconstrained stay all-ones).
-        """
-        _, _, masks = self.translate_batch(queries, enforce_slots=False)
-        return masks

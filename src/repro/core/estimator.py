@@ -1,6 +1,7 @@
 """Algorithm 3: sampling-free cardinality estimation with a single forward pass.
 
-Two execution paths share the same query translation and zero-out masks:
+Two execution paths share the same query translation and zero-out (one
+``(low, high)`` code interval per query and column):
 
 * the **tape path** (:meth:`DuetEstimator.estimate_batch_with_breakdown`)
   runs through the autograd :class:`~repro.nn.Tensor` graph —
@@ -118,7 +119,7 @@ class DuetEstimator(CardinalityEstimator):
                     EstimationBreakdown(translate=0.0, encode=0.0,
                                         forward=0.0, mask=0.0))
         start = time.perf_counter()
-        values, ops, masks = model.codec.translate_batch(queries)
+        values, ops, intervals = model.codec.translate_batch(queries)
         after_translate = time.perf_counter()
         if compiled is not None:
             with compiled.lock:
@@ -126,7 +127,7 @@ class DuetEstimator(CardinalityEstimator):
                 after_encoding = time.perf_counter()
                 logits = compiled.logits(encoded)
                 after_forward = time.perf_counter()
-                selectivity = compiled.selectivity_from_logits(logits, masks)
+                selectivity = compiled.selectivity_from_logits(logits, intervals)
                 after_mask = time.perf_counter()
         else:
             model.eval()
@@ -135,7 +136,7 @@ class DuetEstimator(CardinalityEstimator):
                 after_encoding = time.perf_counter()
                 outputs = model.made(encoded)
                 after_forward = time.perf_counter()
-                selectivity = model.selectivity_from_outputs(outputs, masks).numpy()
+                selectivity = model.selectivity_from_outputs(outputs, intervals).numpy()
                 after_mask = time.perf_counter()
         selectivity = np.clip(selectivity, 0.0, 1.0)
         estimates = selectivity * model.table.num_rows

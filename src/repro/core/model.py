@@ -158,17 +158,17 @@ class DuetModel(nn.Module):
 
     # ------------------------------------------------------------------
     def selectivity_from_outputs(self, outputs: Tensor,
-                                 masks: list[np.ndarray | None]) -> Tensor:
+                                 intervals: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Algorithm 3, lines 3-4: zero-out and multiply the per-column masses.
 
-        ``masks[i]`` is the ``(batch, NDV_i)`` valid-value mask of column
-        ``i`` or ``None`` when the column is unconstrained across the batch
-        (the :meth:`QueryCodec.zero_out_masks` sentinel) — its factor is
-        exactly 1 and the column's softmax is never materialised.  The
-        result is one differentiable node (:func:`F.block_masked_mass`),
-        which is what enables hybrid training.
+        ``intervals = (low, high)`` are the ``(batch, num_columns)`` valid
+        code intervals of :meth:`QueryCodec.translate_batch`.  A column that
+        every row leaves at its full domain has a factor of exactly 1 and
+        its softmax is never materialised.  The result is one
+        differentiable node (:func:`F.block_masked_mass`), which is what
+        enables hybrid training.
         """
-        return F.block_masked_mass(outputs, self.made.output_block_slices(), masks)
+        return F.block_masked_mass(outputs, self.made.output_block_slices(), intervals)
 
     # ------------------------------------------------------------------
     def merged_mpsn_inference(self, options: "nn.PlanOptions | None" = None

@@ -136,8 +136,9 @@ class DuetTrainer:
         if self.hybrid:
             # Pre-translate the training workload once; batches are sliced per
             # step, which is much cheaper than re-encoding queries every step.
-            values, ops, masks = self.model.codec.translate_batch(self.workload.queries)
-            self._query_arrays = (values, ops, masks,
+            values, ops, intervals = self.model.codec.translate_batch(
+                self.workload.queries)
+            self._query_arrays = (values, ops, intervals,
                                   np.asarray(self.workload.cardinalities, dtype=np.float64))
 
     # ------------------------------------------------------------------
@@ -153,12 +154,10 @@ class DuetTrainer:
             yield self._codes[order[start:start + self.config.batch_size]]
 
     def _query_batch(self):
-        values, ops, masks, cards = self._query_arrays
+        values, ops, (low, high), cards = self._query_arrays
         count = min(self.config.query_batch_size, values.shape[0])
         picked = self._rng.choice(values.shape[0], size=count, replace=False)
-        # None marks a column no query constrains (see zero_out_masks).
-        picked_masks = [mask[picked] if mask is not None else None for mask in masks]
-        return values[picked], ops[picked], picked_masks, cards[picked]
+        return values[picked], ops[picked], (low[picked], high[picked]), cards[picked]
 
     # ------------------------------------------------------------------
     def _data_loss(self, batch_codes: np.ndarray) -> Tensor:
@@ -189,9 +188,9 @@ class DuetTrainer:
 
     def _query_loss(self) -> tuple[Tensor, float]:
         """Supervised loss: mapped Q-Error on a batch of training queries."""
-        values, ops, masks, cards = self._query_batch()
+        values, ops, intervals, cards = self._query_batch()
         outputs = self.model.forward(values, ops)
-        selectivity = self.model.selectivity_from_outputs(outputs, masks)
+        selectivity = self.model.selectivity_from_outputs(outputs, intervals)
         estimates = selectivity * float(self.table.num_rows)
         raw = F.qerror(estimates, cards)
         mapped = F.mapped_qerror_loss(estimates, cards).mean()
@@ -331,7 +330,7 @@ class DuetTrainer:
         """
         if not workload.is_labeled:
             workload.label(self.table)
-        values, ops, masks = self.model.codec.translate_batch(workload.queries)
+        values, ops, (low, high) = self.model.codec.translate_batch(workload.queries)
         cards = np.asarray(workload.cardinalities, dtype=np.float64)
         losses: list[float] = []
         self.model.train()
@@ -340,7 +339,7 @@ class DuetTrainer:
             picked = self._rng.choice(values.shape[0], size=count, replace=False)
             outputs = self.model.forward(values[picked], ops[picked])
             selectivity = self.model.selectivity_from_outputs(
-                outputs, [mask[picked] if mask is not None else None for mask in masks])
+                outputs, (low[picked], high[picked]))
             estimates = selectivity * float(self.table.num_rows)
             loss = F.mapped_qerror_loss(estimates, cards[picked]).mean()
             self.optimizer.zero_grad()

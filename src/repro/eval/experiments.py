@@ -803,9 +803,9 @@ def ablation_loss_mapping(dataset: str = "census",
             from ..nn import functional as F
 
             def raw_query_loss(self=trainer):
-                values, ops, masks, cards = self._query_batch()
+                values, ops, intervals, cards = self._query_batch()
                 outputs = self.model.forward(values, ops)
-                selectivity = self.model.selectivity_from_outputs(outputs, masks)
+                selectivity = self.model.selectivity_from_outputs(outputs, intervals)
                 estimates = selectivity * float(self.table.num_rows)
                 raw = F.qerror(estimates, cards)
                 return raw.mean(), float(raw.numpy().mean())

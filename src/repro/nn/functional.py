@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .inference import _interval_mask
 from .tensor import Tensor
 
 __all__ = [
@@ -142,32 +143,29 @@ def block_cross_entropy(logits: Tensor, blocks: Sequence[tuple[int, int]],
 
 
 def block_masked_mass(logits: Tensor, blocks: Sequence[tuple[int, int]],
-                      masks: Sequence[np.ndarray | None]) -> Tensor:
+                      intervals: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """Product over constrained blocks of the masked softmax mass, as one node.
 
-    Algorithm 3's zero-out, differentiable: ``masks[i]`` is column ``i``'s
-    ``(batch, NDV_i)`` valid-value mask, or ``None`` when no query of the
-    batch constrains the column (its factor is exactly 1 and it is skipped).
-    Each factor is ``sum(exp(l - max) * mask) / sum(exp(l - max))`` over the
-    block, in the gathered-segment layout of
-    :func:`repro.nn.inference.masked_block_mass`.  The backward is ``p *
-    (mask - factor)`` times the product of the *other* factors, taken from
-    left and right running products: never a division by a factor, which
-    is exactly 0 for an empty interval.  Returns a ``(batch,)`` tensor.
+    Algorithm 3's zero-out, differentiable: ``intervals = (low, high)`` are
+    each row's inclusive valid code interval per column, ``(batch,
+    num_columns)`` arrays; a column whose every row spans its whole block
+    has a factor of exactly 1 and is skipped.  Each factor is ``sum(exp(l -
+    max) * mask) / sum(exp(l - max))`` over the block, with the 0/1 mask and
+    the gathered-segment layout of :func:`repro.nn.inference.masked_block_mass`.
+    The backward is ``p * (mask - factor)`` times the product of the *other*
+    factors, taken from left and right running products: never a division
+    by a factor, which is exactly 0 for an empty interval.  Returns a
+    ``(batch,)`` tensor.
     """
     batch = logits.shape[0]
-    constrained = [(block, mask) for block, mask in zip(blocks, masks)
-                   if mask is not None]
-    if not constrained:
+    constrained, mask = _interval_mask(blocks, intervals)
+    if mask is None:
         return Tensor(np.ones(batch))
-    gathered, widths, segments, columns = _gather_blocks(
-        logits.data, [block for block, _ in constrained])
+    gathered, widths, segments, columns = _gather_blocks(logits.data, constrained)
     maxima = np.maximum.reduceat(gathered, segments, axis=1)
     exp = np.exp(gathered - np.repeat(maxima, widths, axis=1))
     denominator = np.add.reduceat(exp, segments, axis=1)
-    mask_matrix = np.concatenate([np.asarray(mask, dtype=np.float64)
-                                  for _, mask in constrained], axis=1)
-    factors = np.add.reduceat(exp * mask_matrix, segments, axis=1) / denominator
+    factors = np.add.reduceat(exp * mask, segments, axis=1) / denominator
     value = factors.prod(axis=1)
 
     def backward(grad: np.ndarray) -> None:
@@ -176,7 +174,7 @@ def block_masked_mass(logits: Tensor, blocks: Sequence[tuple[int, int]],
         others[:, :-1] *= np.cumprod(factors[:, :0:-1], axis=1)[:, ::-1]
         others *= grad[:, None]
         dlogits = exp / np.repeat(denominator, widths, axis=1)
-        dlogits *= mask_matrix - np.repeat(factors, widths, axis=1)
+        dlogits *= mask - np.repeat(factors, widths, axis=1)
         dlogits *= np.repeat(others, widths, axis=1)
         logits._accumulate(_scatter_blocks(dlogits, logits.shape, columns), owned=True)
 

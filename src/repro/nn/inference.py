@@ -20,8 +20,10 @@ list of fused linear(+activation) stages whose
 The companion :func:`masked_block_mass` kernel fuses Algorithm 3's zero-out:
 it computes each constrained column's masked probability mass directly from
 the raw logits (stable ``exp``-shift, one masked row-sum against the full
-block sum) and skips unconstrained columns entirely — no dense softmax over
-every column, no all-ones masks.
+block sum) and skips unconstrained columns entirely.  The zero-out arrives as
+one code interval per (query, column) and the 0/1 mask is built by a single
+compare over the gathered constrained width — no dense softmax over every
+column, no per-column mask arrays.
 
 Plans are deliberately *not* thread-safe: buffers are shared across calls.
 Wrap concurrent use in a lock (see :class:`repro.core.compiled.CompiledDuetModel`).
@@ -253,46 +255,73 @@ class ForwardPlan:
 # Fused masked selectivity (Algorithm 3's zero-out, straight from logits)
 # ----------------------------------------------------------------------
 
+def _interval_mask(blocks: Sequence[tuple[int, int]],
+                   intervals: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+    """The constrained blocks and their zero-out mask, side by side.
+
+    ``intervals = (low, high)`` are ``(batch, num_columns)`` inclusive code
+    intervals.  A column is constrained when some row's interval is not its
+    whole block ``[0, end - start - 1]``; the others have a factor of
+    exactly 1 and are dropped.  Returns the constrained columns' blocks and
+    the ``(batch, sum of their widths)`` boolean mask (``None`` when none is
+    constrained), built with one compare of each gathered column's code
+    against its row's interval.
+    """
+    low, high = intervals
+    bounds = np.asarray(blocks, dtype=np.intp)
+    widths = bounds[:, 1] - bounds[:, 0]
+    columns = np.flatnonzero(((low != 0) | (high != widths - 1)).any(axis=0))
+    if not columns.size:
+        return [], None
+    widths = widths[columns]
+    # int32 halves the bytes the (batch, width) repeats of the bounds write.
+    codes = np.arange(widths.sum(), dtype=np.int32) - np.repeat(
+        (np.cumsum(widths) - widths).astype(np.int32), widths)
+    mask = ((codes >= np.repeat(low[:, columns].astype(np.int32), widths, axis=1))
+            & (codes <= np.repeat(high[:, columns].astype(np.int32), widths, axis=1)))
+    return [blocks[column] for column in columns], mask
+
+
 def masked_block_mass(logits: np.ndarray,
                       blocks: Sequence[tuple[int, int]],
-                      masks: Sequence[np.ndarray | None]) -> np.ndarray:
+                      intervals: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Product over constrained columns of the masked softmax mass.
 
     ``logits`` is the raw ``(batch, total_output)`` network output;
-    ``blocks[i] = (start, end)`` is column ``i``'s logit slice; ``masks[i]``
-    is either ``None`` (column unconstrained — skipped entirely, its factor
-    is exactly 1) or the dense ``(batch, NDV_i)`` valid-value mask.
+    ``blocks[i] = (start, end)`` is column ``i``'s logit slice;
+    ``intervals = (low, high)`` hold each row's inclusive valid code
+    interval per column (:meth:`repro.core.QueryCodec.translate_batch`).  A
+    column whose every row spans its whole block is skipped entirely: its
+    factor is exactly 1.
 
     For each constrained column the masked probability mass is computed
     directly from the logits::
 
-        mass = sum_{v in mask} exp(l_v - m) / sum_v exp(l_v - m)
+        mass = sum_{low <= v <= high} exp(l_v - m) / sum_v exp(l_v - m)
 
     All constrained blocks are gathered into one contiguous matrix and the
     per-block max/sum/masked-sum run as ``reduceat`` segments, so the kernel
-    costs a fixed ~10 NumPy calls however many columns are constrained — no
+    costs a fixed ~20 NumPy calls however many columns are constrained — no
     full softmax distribution is materialised and nothing at all is computed
     for unconstrained columns.  Returns a fresh ``(batch,)`` array.
     """
     logits = np.asarray(logits)
     batch = logits.shape[0]
     dtype = logits.dtype
-    gathered = [(start, end, mask)
-                for (start, end), mask in zip(blocks, masks) if mask is not None]
-    if not gathered:
+    gathered, mask = _interval_mask(blocks, intervals)
+    if mask is None:
         return np.ones(batch, dtype=dtype)
-    widths = np.array([end - start for start, end, _ in gathered])
+    widths = np.array([end - start for start, end in gathered])
     segments = np.zeros(len(gathered), dtype=np.intp)
     np.cumsum(widths[:-1], out=segments[1:])
-    shifted = np.concatenate([logits[:, start:end] for start, end, _ in gathered],
+    shifted = np.concatenate([logits[:, start:end] for start, end in gathered],
                              axis=1)
     maxima = np.maximum.reduceat(shifted, segments, axis=1)
     shifted -= np.repeat(maxima, widths, axis=1)
     np.exp(shifted, out=shifted)
     denominator = np.add.reduceat(shifted, segments, axis=1)
-    mask_matrix = (gathered[0][2] if len(gathered) == 1
-                   else np.concatenate([mask for _, _, mask in gathered], axis=1))
-    np.multiply(shifted, mask_matrix, out=shifted)
+    np.multiply(shifted, mask, out=shifted)
     numerator = np.add.reduceat(shifted, segments, axis=1)
     numerator /= denominator
     return numerator.prod(axis=1)

@@ -4,7 +4,7 @@ Online workloads repeat themselves (the paper's In-Q workloads model exactly
 that locality), so the serving layer memoises estimates.  The cache key is
 *canonical*: every predicate is translated into the inclusive code interval
 it selects on its column (the table's :class:`~repro.workload.CodeIntervals`
-memo, the same rows Duet's code arrays and zero-out masks are built from),
+memo, the same rows Duet's code arrays and zero-out intervals are built from),
 predicates covering a whole domain are dropped, and the rows are sorted by
 column while keeping predicate order within a column.  Two queries therefore
 share a key exactly when the model sees the same input — regardless of the

@@ -333,7 +333,7 @@ class EstimationService:
             return 0
         return self.store.rows_since(self.data_version or 0)
 
-    def refresh(self, *, epochs: int | None = None,
+    def refresh(self, *, epochs: int = 1,
                 replay_fraction: float | None = None,
                 version: str | None = None,
                 throttle=None, gate=None) -> RegistryEntry | None:
@@ -349,6 +349,10 @@ class EstimationService:
         and flushed, and — when a registry is attached — the refreshed
         model is registered under a new version carrying the new
         ``data_version``.
+
+        ``epochs`` is the fine-tune's budget over the appended rows (plus
+        replay); the lifecycle scheduler passes
+        :attr:`~repro.core.config.LifecyclePolicy.refresh_epochs`.
 
         ``throttle`` is passed through to the fine-tuning loop (called after
         every optimiser step); the lifecycle scheduler uses it to make the
@@ -395,7 +399,7 @@ class EstimationService:
             tuned = model.clone(snapshot)
             DuetTrainer.fine_tune(
                 snapshot, tuned, delta,
-                epochs=epochs if epochs is not None else self.config.refresh_epochs,
+                epochs=epochs,
                 replay_fraction=(replay_fraction if replay_fraction is not None
                                  else self.config.replay_fraction),
                 throttle=throttle)

@@ -4,7 +4,7 @@ translation into dictionary-code space.
 :class:`CodeIntervals` is the single predicate→interval translation.  It
 memoises, per table, the inclusive code interval each predicate selects
 (:meth:`Predicate.code_interval`); the serving cache key, the model's code
-arrays and zero-out masks, and the ground-truth executor's labels are all
+arrays and zero-out intervals, and the ground-truth executor's labels are all
 derived from its per-predicate rows.
 """
 

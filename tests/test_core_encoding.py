@@ -1,5 +1,5 @@
 """Tests for predicate encoding, query canonicalisation, the one interval
-translation behind keys, labels and masks, and Algorithm 1."""
+translation behind keys, labels and zero-out intervals, and Algorithm 1."""
 
 import numpy as np
 import pytest
@@ -130,16 +130,26 @@ class TestQueryCodec:
         query = Query.from_triples([("b", "=", "zzz")])
         canonical = canonicalize(codec, query.predicates[0])
         assert canonical is not None
-        masks = codec.zero_out_masks([query])
-        assert masks[1][0].sum() == 0
+        _, _, (low, high) = codec.translate_batch([query])
+        assert low[0, 1] > high[0, 1]
 
     def test_zero_out_masks_match_executor_semantics(self, toy_table):
-        codec = QueryCodec(toy_table, DuetConfig())
-        query = Query.from_triples([("a", ">=", 2), ("a", "<=", 5)])
-        # Multi-predicate masks require multi_predicate mode for the arrays,
-        # but the zero-out masks themselves are always defined.
-        masks = codec.zero_out_masks([query])
-        np.testing.assert_array_equal(masks[0][0], [0, 0, 1, 1, 1, 1, 0, 0])
+        """A query's interval on a column selects exactly the codes its
+        predicates there admit: the intersection of two predicates, an open
+        range, one value, an unsatisfiable literal."""
+        codec = QueryCodec(toy_table, DuetConfig(multi_predicate=True))
+        queries = [Query.from_triples([("a", ">=", 2), ("a", "<=", 5)]),
+                   Query.from_triples([("a", ">", 2), ("a", "<", 5)]),
+                   Query.from_triples([("a", "=", 5)]),
+                   Query.from_triples([("a", "<", 0)])]
+        _, _, (low, high) = codec.translate_batch(queries)
+        column = toy_table.column("a")
+        codes = np.arange(column.num_distinct)
+        selected = (codes >= low[:, 0, None]) & (codes <= high[:, 0, None])
+        np.testing.assert_array_equal(selected[0], [0, 0, 1, 1, 1, 1, 0, 0])
+        counts = column.frequencies() * toy_table.num_rows
+        for query, row in zip(queries, selected):
+            assert counts[row].sum() == pytest.approx(cardinality(toy_table, query))
 
     def test_too_many_predicates_rejected_in_single_mode(self, toy_table):
         codec = QueryCodec(toy_table, DuetConfig(multi_predicate=False))
@@ -155,15 +165,13 @@ class TestQueryCodec:
         assert values.shape == (1, 3, 2)
         assert (ops[0, 0] >= 0).sum() == 2
 
-    def test_unconstrained_mask_is_none_sentinel(self, toy_table):
-        """Columns no query constrains use the None sentinel (factor == 1)
-        instead of a dense all-ones array."""
+    def test_unconstrained_columns_span_full_domain(self, toy_table):
+        """A column a query leaves unconstrained keeps the full interval
+        [0, NDV - 1] (factor == 1); the constrained one gets its code."""
         codec = QueryCodec(toy_table, DuetConfig())
-        masks = codec.zero_out_masks([Query.from_triples([("a", "=", 1)])])
-        assert masks[1] is None
-        assert masks[2] is None
-        np.testing.assert_array_equal(masks[0].shape,
-                                      (1, toy_table.column("a").num_distinct))
+        _, _, (low, high) = codec.translate_batch([Query.from_triples([("a", "=", 1)])])
+        np.testing.assert_array_equal(low, [[1, 0, 0]])
+        np.testing.assert_array_equal(high, [[1, 2, 15]])
 
 
 class TestVirtualTableSampler:
@@ -258,9 +266,10 @@ class TestCodecAgainstExecutor:
         column = table.column("age")
         value = column.value_of(min(30, column.num_distinct - 1))
         query = Query.from_triples([("age", "<=", value)])
-        masks = codec.zero_out_masks([query])
+        _, _, (low, high) = codec.translate_batch([query])
+        index = table.column_index("age")
         frequencies = column.frequencies()
-        estimate = (frequencies * masks[table.column_index("age")][0]).sum() * table.num_rows
+        estimate = frequencies[low[0, index]:high[0, index] + 1].sum() * table.num_rows
         assert estimate == pytest.approx(cardinality(table, query))
 
 
@@ -321,14 +330,17 @@ class TestOneIntervalTranslation:
         assert labels.tolist() == [cardinality(census, member) for member in batch]
         assert len(set(labels.tolist())) == 1
 
-        codec = QueryCodec(census, DuetConfig())
-        _, _, masks = codec.translate_batch(batch, enforce_slots=False)
+        # Slots for every predicate a drawn query (or its padded rewrite) can
+        # place on one column.
+        codec = QueryCodec(census, DuetConfig(multi_predicate=True,
+                                              max_predicates_per_column=7))
+        _, _, (low, high) = codec.translate_batch(batch)
         for column_index, column in enumerate(census.columns):
             expected = np.ones((len(batch), column.num_distinct), dtype=bool)
             for row, member in enumerate(batch):
                 for predicate in member.predicates_on(column.name):
                     expected[row] &= predicate.valid_value_mask(column)
-            if masks[column_index] is None:
-                assert expected.all()
-            else:
-                np.testing.assert_array_equal(masks[column_index], expected)
+            codes = np.arange(column.num_distinct)
+            np.testing.assert_array_equal(
+                (codes >= low[:, column_index, None])
+                & (codes <= high[:, column_index, None]), expected)

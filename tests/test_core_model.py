@@ -87,18 +87,18 @@ class TestDuetModel:
         values = np.full((2, 3, 1), -1, dtype=np.int64)
         ops = np.full((2, 3, 1), -1, dtype=np.int64)
         outputs = model.forward(values, ops)
-        masks = [np.ones((2, column.num_distinct)) for column in toy_table.columns]
-        selectivity = model.selectivity_from_outputs(outputs, masks).numpy()
-        np.testing.assert_allclose(selectivity, np.ones(2))
+        full = (np.zeros((2, 3), dtype=np.int64),
+                np.tile([column.num_distinct - 1 for column in toy_table.columns], (2, 1)))
+        selectivity = model.selectivity_from_outputs(outputs, full).numpy()
+        np.testing.assert_array_equal(selectivity, np.ones(2))
 
     def test_selectivity_in_unit_interval(self, trained_model, toy_table):
         codec = trained_model.codec
         queries = [Query.from_triples([("a", ">=", 4)]),
                    Query.from_triples([("b", "=", 1), ("c", "<=", 3)])]
-        values, ops = codec.queries_to_code_arrays(queries)
-        masks = codec.zero_out_masks(queries)
+        values, ops, intervals = codec.translate_batch(queries)
         outputs = trained_model.forward(values, ops)
-        selectivity = trained_model.selectivity_from_outputs(outputs, masks).numpy()
+        selectivity = trained_model.selectivity_from_outputs(outputs, intervals).numpy()
         assert (selectivity >= 0).all() and (selectivity <= 1.0 + 1e-9).all()
 
     def test_embedding_columns_created_for_large_domains(self, small_config):
@@ -290,6 +290,23 @@ class TestDuetTrainer:
         history = trainer.train(epochs=2)
         assert all(stats.query_loss > 0 for stats in history.epochs)
         assert all(stats.raw_qerror >= 1.0 for stats in history.epochs)
+
+    def test_query_batch_keeps_rows_aligned(self, toy_table, small_config):
+        """A sampled query batch slices code arrays, zero-out intervals and
+        labels by the same rows: the translation of the picked queries."""
+        model = DuetModel(toy_table, small_config)
+        workload = make_inworkload(toy_table, num_queries=80, seed=42)
+        trainer = DuetTrainer(model, toy_table, workload, small_config)
+        state = trainer._rng.bit_generator.state
+        values, ops, (low, high), cards = trainer._query_batch()
+        trainer._rng.bit_generator.state = state
+        picked = trainer._rng.choice(len(workload), size=len(cards), replace=False)
+        expected = model.codec.translate_batch([workload.queries[i] for i in picked])
+        np.testing.assert_array_equal(values, expected[0])
+        np.testing.assert_array_equal(ops, expected[1])
+        np.testing.assert_array_equal(low, expected[2][0])
+        np.testing.assert_array_equal(high, expected[2][1])
+        np.testing.assert_array_equal(cards, np.asarray(workload.cardinalities)[picked])
 
     def test_history_throughput_and_best_epoch(self, toy_table, small_config):
         model = DuetModel(toy_table, small_config)

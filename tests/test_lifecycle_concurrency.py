@@ -22,6 +22,9 @@ from repro.workload import make_random_workload
 
 CONFIG = DuetConfig(hidden_sizes=(16, 16), epochs=1, batch_size=128,
                     expand_coefficient=1, lambda_query=0.0, seed=0)
+#: Pause of a namespace sampler between samples, so that it does not
+#: re-take the refresh lock in a tight loop beside the refreshes it checks.
+SAMPLE_PAUSE = 0.0005
 
 
 @pytest.fixture()
@@ -128,6 +131,7 @@ class TestConcurrentRefresh:
                 if namespace != expected:
                     mismatches.append((namespace, expected))
                 samples[0] += 1
+                stop.wait(SAMPLE_PAUSE)
 
         thread = threading.Thread(target=sampler, daemon=True)
         thread.start()
@@ -219,6 +223,7 @@ class TestConcurrentRefresh:
                 if namespace != expected:
                     mismatches.append((namespace, expected))
                 samples[0] += 1
+                stop.wait(SAMPLE_PAUSE)
 
         threads = [threading.Thread(target=reader, args=(index,), daemon=True)
                    for index in range(3)]

@@ -5,7 +5,9 @@ nodes with hand-written backwards; :mod:`block_loss_oracle` composes the
 same quantities column by column from the generic tape operators.  Values
 and gradients must agree to 1e-12 over random block layouts, both must
 match central finite differences, and training with either must end at the
-same weights.
+same weights.  The zero-out node takes code intervals; the oracle expands
+them into dense masks, and the node must equal the fused dense-mask node
+bit for bit.
 """
 
 import numpy as np
@@ -36,17 +38,6 @@ def random_layout(rng, num_columns, tiled=True, widths=(1, 2, 3, 5, 8)):
         order = rng.permutation(num_columns)
         blocks = [blocks[index] for index in order]
     return offset + (0 if tiled else int(rng.integers(0, 3))), blocks
-
-
-def random_masks(rng, batch, blocks, none_share=0.3):
-    masks = []
-    for start, end in blocks:
-        if rng.uniform() < none_share:
-            masks.append(None)
-        else:
-            masks.append((rng.uniform(size=(batch, end - start)) < 0.6)
-                         .astype(np.float64))
-    return masks
 
 
 def value_and_grad(function, logits_array, *args):
@@ -158,6 +149,23 @@ class TestBlockCrossEntropy:
 # block_masked_mass
 # ----------------------------------------------------------------------
 class TestBlockMaskedMass:
+    """The node over code intervals against the dense-mask references: the
+    fused dense node bit for bit, the per-column graph within 1e-12."""
+
+    @staticmethod
+    def _check(logits, blocks, intervals):
+        value, grad = value_and_grad(F.block_masked_mass, logits, blocks, intervals)
+        masks = oracle.dense_masks(blocks, intervals)
+        fused, fused_grad = value_and_grad(oracle.fused_dense_masked_mass,
+                                           logits, blocks, masks)
+        np.testing.assert_array_equal(value, fused)
+        np.testing.assert_array_equal(grad, fused_grad)
+        expected, expected_grad = value_and_grad(oracle.block_masked_mass,
+                                                 logits, blocks, masks)
+        np.testing.assert_allclose(value, expected, rtol=0, atol=TOLERANCE)
+        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=TOLERANCE)
+        return value, grad
+
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("tiled", [True, False])
     def test_matches_oracle_on_random_layouts(self, seed, tiled):
@@ -165,72 +173,59 @@ class TestBlockMaskedMass:
         batch = int(rng.integers(1, 9))
         width, blocks = random_layout(rng, int(rng.integers(1, 7)), tiled=tiled)
         logits = rng.normal(scale=3.0, size=(batch, width))
-        masks = random_masks(rng, batch, blocks)
-        if all(mask is None for mask in masks):
-            masks[0] = np.ones((batch, blocks[0][1] - blocks[0][0]))
-        value, grad = value_and_grad(F.block_masked_mass, logits, blocks, masks)
-        expected, expected_grad = value_and_grad(oracle.block_masked_mass,
-                                                 logits, blocks, masks)
-        np.testing.assert_allclose(value, expected, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=TOLERANCE)
+        low, high = oracle.random_intervals(rng, batch, blocks)
+        if all(mask is None for mask in oracle.dense_masks(blocks, (low, high))):
+            low[0, 0] = 1  # keep a graph to differentiate
+        self._check(logits, blocks, (low, high))
 
     @pytest.mark.parametrize("widths", [(1,), (2,), (1, 2)])
     def test_width_one_and_two_blocks(self, widths):
         rng = np.random.default_rng(7)
         width, blocks = random_layout(rng, 5, widths=widths)
         logits = rng.normal(size=(4, width))
-        masks = random_masks(rng, 4, blocks, none_share=0.0)
-        value, grad = value_and_grad(F.block_masked_mass, logits, blocks, masks)
-        expected, expected_grad = value_and_grad(oracle.block_masked_mass,
-                                                 logits, blocks, masks)
-        np.testing.assert_allclose(value, expected, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=TOLERANCE)
+        self._check(logits, blocks, oracle.random_intervals(
+            rng, 4, blocks, unconstrained_share=0.0))
 
     def test_single_column(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(5, 6))
-        masks = [(rng.uniform(size=(5, 6)) < 0.5).astype(np.float64)]
-        value, grad = value_and_grad(F.block_masked_mass, logits, [(0, 6)], masks)
-        expected, expected_grad = value_and_grad(oracle.block_masked_mass,
-                                                 logits, [(0, 6)], masks)
-        np.testing.assert_allclose(value, expected, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=TOLERANCE)
+        self._check(logits, [(0, 6)], oracle.random_intervals(
+            rng, 5, [(0, 6)], unconstrained_share=0.0))
 
-    def test_all_none_masks_give_exactly_one(self):
+    def test_all_unconstrained_gives_exactly_one(self):
         logits = Tensor(np.random.default_rng(9).normal(size=(4, 7)),
                         requires_grad=True)
-        mass = F.block_masked_mass(logits, [(0, 3), (3, 7)], [None, None])
+        full = (np.zeros((4, 2), dtype=np.int64), np.tile([2, 3], (4, 1)))
+        mass = F.block_masked_mass(logits, [(0, 3), (3, 7)], full)
         assert np.array_equal(mass.numpy(), np.ones(4))
         assert not mass.requires_grad
 
     def test_zero_mass_mask_has_a_finite_gradient(self):
         rng = np.random.default_rng(10)
         blocks = [(0, 3), (3, 7), (7, 9)]
-        logits = rng.normal(size=(3, 9))
-        masks = [np.ones((3, 3)), (rng.uniform(size=(3, 4)) < 0.5).astype(np.float64),
-                 np.ones((3, 2))]
-        masks[0][1] = 0.0  # row 1: an empty interval on column 0
-        masks[2][2] = 0.0  # row 2: an empty interval on column 2
-        value, grad = value_and_grad(F.block_masked_mass, logits, blocks, masks)
-        expected, expected_grad = value_and_grad(oracle.block_masked_mass,
-                                                 logits, blocks, masks)
+        logits = rng.normal(size=(4, 9))
+        low = np.zeros((4, 3), dtype=np.int64)
+        high = np.tile([2, 3, 1], (4, 1))
+        low[1, 0], high[1, 0] = 2, 1   # row 1: an empty interval on column 0
+        low[2, 2], high[2, 2] = 2, 1   # row 2: an empty interval on column 2
+        low[0, 1] = high[0, 1] = 2     # row 0: a single code on column 1
+        high[3, 1] = 2                 # row 3: all codes of column 1 but one
+        # row 3 leaves columns 0 and 2 unconstrained, which rows 1 and 2 constrain
+        value, grad = self._check(logits, blocks, (low, high))
         assert value[1] == 0.0 and value[2] == 0.0
         assert np.all(np.isfinite(grad))
-        np.testing.assert_allclose(value, expected, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=TOLERANCE)
 
     @pytest.mark.parametrize("tiled", [True, False])
     def test_finite_differences(self, tiled):
         rng = np.random.default_rng(11)
         width, blocks = random_layout(rng, 3, tiled=tiled)
         logits = rng.normal(size=(3, width))
-        masks = random_masks(rng, 3, blocks, none_share=0.2)
-        masks[0] = np.ones((3, blocks[0][1] - blocks[0][0]))
-        masks[0][:, 0] = 0.0
+        low, high = oracle.random_intervals(rng, 3, blocks, unconstrained_share=0.2)
+        low[:, 0], high[:, 0] = 1, blocks[0][1] - blocks[0][0] - 1
         cotangent = np.random.default_rng(99).normal(size=3)
-        _, grad = value_and_grad(F.block_masked_mass, logits, blocks, masks)
+        _, grad = value_and_grad(F.block_masked_mass, logits, blocks, (low, high))
         numeric = finite_difference(F.block_masked_mass, logits,
-                                    (blocks, masks), cotangent)
+                                    (blocks, (low, high)), cotangent)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -252,7 +247,9 @@ def _max_parameter_difference(left, right):
 
 def _oracle_losses(monkeypatch):
     monkeypatch.setattr(F, "block_cross_entropy", oracle.block_cross_entropy)
-    monkeypatch.setattr(F, "block_masked_mass", oracle.block_masked_mass)
+    monkeypatch.setattr(F, "block_masked_mass",
+                        lambda logits, blocks, intervals: oracle.block_masked_mass(
+                            logits, blocks, oracle.dense_masks(blocks, intervals)))
 
 
 def test_hybrid_epoch_matches_the_oracle_trainer(small_census, monkeypatch):

@@ -16,6 +16,7 @@ from repro.workload import (
     make_multi_predicate_workload,
     make_random_workload,
 )
+import block_loss_oracle as oracle
 from translation_oracle import canonical_predicates
 
 
@@ -168,32 +169,40 @@ class TestMaskedBlockMass:
         return result
 
     def test_matches_dense_softmax_reference(self):
+        """Over code intervals (empty, single-code, all-but-one, rows left
+        unconstrained in constrained columns) the kernel equals the fused
+        dense-mask kernel bit for bit in either dtype, and a per-column
+        dense softmax to 1e-12."""
         rng = np.random.default_rng(8)
-        blocks = [(0, 4), (4, 9), (9, 12)]
-        logits = rng.normal(size=(6, 12)) * 5
-        masks = [
-            (rng.uniform(size=(6, 4)) > 0.4).astype(float),
-            None,
-            (rng.uniform(size=(6, 3)) > 0.4).astype(float),
-        ]
-        np.testing.assert_allclose(masked_block_mass(logits, blocks, masks),
-                                   self._reference(logits, blocks, masks),
-                                   rtol=1e-12)
+        blocks = [(0, 4), (4, 9), (9, 12), (12, 13)]
+        for batch in (1, 6, 8, 64):
+            logits = rng.normal(size=(batch, 13)) * 5
+            intervals = oracle.random_intervals(rng, batch, blocks)
+            masks = oracle.dense_masks(blocks, intervals)
+            for dtype in (np.float64, np.float32):
+                typed = logits.astype(dtype)
+                np.testing.assert_array_equal(
+                    masked_block_mass(typed, blocks, intervals),
+                    oracle.dense_block_mass(typed, blocks, masks))
+            np.testing.assert_allclose(masked_block_mass(logits, blocks, intervals),
+                                       self._reference(logits, blocks, masks),
+                                       rtol=1e-12)
 
     def test_all_unconstrained_is_exactly_one(self):
         logits = np.random.default_rng(9).normal(size=(3, 7))
-        out = masked_block_mass(logits, [(0, 3), (3, 7)], [None, None])
+        full = (np.zeros((3, 2), dtype=np.int64), np.tile([2, 3], (3, 1)))
+        out = masked_block_mass(logits, [(0, 3), (3, 7)], full)
         np.testing.assert_array_equal(out, np.ones(3))
 
     def test_extreme_logits_are_stable(self):
         logits = np.array([[1e4, -1e4, 5e3, 0.0]])
-        mask = np.array([[1.0, 0.0, 1.0, 0.0]])
-        out = masked_block_mass(logits, [(0, 4)], [mask])
+        out = masked_block_mass(logits, [(0, 4)], (np.array([[1]]), np.array([[2]])))
         assert np.isfinite(out).all() and 0.0 <= out[0] <= 1.0
 
     def test_zero_mask_gives_zero_mass(self):
         logits = np.random.default_rng(10).normal(size=(2, 5))
-        out = masked_block_mass(logits, [(0, 5)], [np.zeros((2, 5))])
+        empty = (np.array([[3], [0]]), np.array([[2], [-1]]))
+        out = masked_block_mass(logits, [(0, 5)], empty)
         np.testing.assert_array_equal(out, np.zeros(2))
 
 
@@ -306,16 +315,16 @@ class TestTranslateBatch:
         return masks
 
     def _check(self, codec, queries):
-        values, ops, masks = codec.translate_batch(queries)
+        values, ops, (low, high) = codec.translate_batch(queries)
         ref_values, ref_ops = self._reference_arrays(codec, queries)
         ref_masks = self._reference_masks(codec, queries)
         np.testing.assert_array_equal(values, ref_values)
         np.testing.assert_array_equal(ops, ref_ops)
-        for ci, mask in enumerate(masks):
-            if mask is None:
-                assert np.all(ref_masks[ci] == 1.0)
-            else:
-                np.testing.assert_array_equal(np.asarray(mask), ref_masks[ci])
+        for ci, column in enumerate(codec.table.columns):
+            codes = np.arange(column.num_distinct)
+            np.testing.assert_array_equal(
+                (codes >= low[:, ci, None]) & (codes <= high[:, ci, None]),
+                ref_masks[ci])
 
     @pytest.mark.parametrize("maker,seed", [
         (make_random_workload, 7), (make_inworkload, 9)])
@@ -340,14 +349,16 @@ class TestTranslateBatch:
             Query.from_triples([(column.name, "<=", column.distinct_values[-1])]),
         ])
 
-    def test_whole_domain_only_column_keeps_none_sentinel(self, table):
-        """A predicate covering the whole domain constrains nothing: its
-        column must keep the None sentinel (exact factor 1, no softmax)."""
+    def test_whole_domain_only_column_spans_full_domain(self, table):
+        """A predicate covering the whole domain constrains nothing: every
+        column keeps the full interval [0, NDV - 1] (exact factor 1, no
+        softmax)."""
         codec = QueryCodec(table, DuetConfig(hidden_sizes=(16,)))
         column = table.columns[0]
-        _, _, masks = codec.translate_batch(
+        _, _, (low, high) = codec.translate_batch(
             [Query.from_triples([(column.name, ">=", column.distinct_values[0])])])
-        assert all(mask is None for mask in masks)
+        np.testing.assert_array_equal(low, 0)
+        np.testing.assert_array_equal(high[0], [c.num_distinct - 1 for c in table.columns])
 
     def test_interval_cache_stays_correct_on_repeats(self, table):
         codec = QueryCodec(table, DuetConfig(hidden_sizes=(16,)))
@@ -355,7 +366,7 @@ class TestTranslateBatch:
         for _ in range(2):  # second round is fully cache-hit
             self._check(codec, queries)
 
-    def test_slot_overflow_raises_unless_disabled(self, table):
+    def test_slot_overflow_raises(self, table):
         codec = QueryCodec(table, DuetConfig(hidden_sizes=(16,)))
         column = table.columns[0]
         query = Query.from_triples([
@@ -363,7 +374,5 @@ class TestTranslateBatch:
             (column.name, "<=", column.distinct_values[4])])
         with pytest.raises(ValueError, match="at most 1"):
             codec.translate_batch([query])
-        _, _, masks = codec.translate_batch([query], enforce_slots=False)
-        np.testing.assert_array_equal(
-            np.asarray(masks[0][0]),
-            self._reference_masks(codec, [query])[0][0])
+        with pytest.raises(ValueError, match="at most 1"):
+            codec.queries_to_code_arrays([query])
